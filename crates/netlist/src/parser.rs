@@ -24,6 +24,7 @@
 //! `parse(to_text(netlist))` reconstruct the original net numbering — and
 //! therefore an identical event schedule — bit for bit.
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::cell::CellKind;
@@ -114,8 +115,9 @@ pub(crate) fn assemble(spec: CircuitSpec) -> Result<Netlist, AssembleError> {
     // `wire` entries fix net numbering to declaration order; primary inputs
     // keep their input-driver role regardless of which line declares them
     // first.  Declaring a net no gate drives is still an error in `build`.
+    let inputs: HashSet<&str> = spec.inputs.iter().map(String::as_str).collect();
     for wire in &spec.wires {
-        if spec.inputs.iter().any(|input| input == wire) {
+        if inputs.contains(wire.as_str()) {
             builder.add_input(wire);
         } else {
             builder.add_net(wire);

@@ -37,6 +37,7 @@
 //!
 //! [`NetId`]: halotis_core::NetId
 
+use std::collections::HashSet;
 use std::fmt;
 
 use crate::cell::CellKind;
@@ -708,10 +709,14 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
     }
 
     if let Some(ports) = &port_list {
+        let declared: HashSet<&str> = spec
+            .inputs
+            .iter()
+            .chain(&spec.outputs)
+            .map(String::as_str)
+            .collect();
         for port in ports {
-            let declared =
-                spec.inputs.iter().any(|n| n == port) || spec.outputs.iter().any(|n| n == port);
-            if !declared {
+            if !declared.contains(port.as_str()) {
                 return Err(syntax(
                     1,
                     format!("port '{port}' has no input/output declaration"),
@@ -764,6 +769,39 @@ mod tests {
             let reparsed = parse_verilog(&to_verilog(&netlist)).unwrap();
             assert_eq!(reparsed, netlist, "round trip of {}", netlist.name());
         }
+    }
+
+    /// `width` primary inputs feeding `width / 2` NAND gates whose outputs
+    /// are all primary outputs: every net is a port or a wire declaration.
+    fn wide_netlist(width: usize) -> Netlist {
+        let mut builder = NetlistBuilder::new(format!("wide{width}"));
+        let inputs: Vec<_> = (0..width)
+            .map(|index| builder.add_input(format!("in{index}")))
+            .collect();
+        for (index, pair) in inputs.chunks(2).enumerate() {
+            let out = builder.add_net(format!("out{index}"));
+            builder
+                .add_gate(CellKind::Nand2, format!("g{index}"), pair, out)
+                .unwrap();
+            builder.mark_output(out);
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn wide_netlists_round_trip_in_both_formats() {
+        // Wide enough that a per-net scan over the inputs or ports would
+        // cost hundreds of millions of string comparisons.
+        let netlist = wide_netlist(16_384);
+        let text = writer::to_text(&netlist);
+        let via_net = parser::parse(&text).unwrap();
+        assert_eq!(via_net, netlist);
+        assert_eq!(writer::to_text(&via_net), text);
+
+        let source = to_verilog(&netlist);
+        let via_verilog = parse_verilog(&source).unwrap();
+        assert_eq!(via_verilog, netlist);
+        assert_eq!(to_verilog(&via_verilog), source);
     }
 
     #[test]

@@ -3,7 +3,13 @@
 //! A `load` request parses netlist text, canonicalises it through the
 //! repository's writer, and fingerprints the canonical form — so two
 //! textual variations of the same circuit share one cache slot and one
-//! compilation.  Entries hold a **pristine** [`CompiledCircuit`] plus an
+//! compilation.  Each entry keeps its canonical text.  The writer's output
+//! is a fixed point of parse → `to_text`, so a `.net` load whose bytes
+//! equal a cached entry's canonical text is answered from the fingerprint
+//! and one comparison, without parsing; every other load (Verilog, or a
+//! non-canonical `.net` spelling) takes the parse path to the same key.
+//!
+//! Entries hold a **pristine** [`CompiledCircuit`] plus an
 //! optional **overlay**: a clone carrying outstanding `edit` scripts, with
 //! an inverse [`EditScript`] stack ([`halotis_netlist::EditLog::invert`]) so `revert` can
 //! walk edits back one at a time without recompiling.
@@ -44,6 +50,11 @@ fn fingerprint(library_name: &str, canonical: &str) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The cache key of a canonical `.net` text under the daemon's library.
+fn cache_key(canonical: &str) -> String {
+    format!("c-{:016x}", fingerprint(library().name(), canonical))
 }
 
 /// Outstanding what-if edits on top of a pristine circuit.
@@ -296,6 +307,10 @@ fn apply_command(
 pub struct CacheEntry {
     key: String,
     circuit_name: String,
+    /// The pristine circuit's canonical `.net` text, the fingerprinted bytes.
+    canonical: String,
+    gates: usize,
+    nets: usize,
     last_used: AtomicU64,
     /// Pristine compilation + overlay; simulate takes the read side, edit
     /// and revert the write side.
@@ -303,6 +318,18 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
+    /// What a `load` that finds this entry reports: the pristine circuit's
+    /// shape, whatever edits are outstanding.
+    fn report(&self) -> LoadReport {
+        LoadReport {
+            key: self.key.clone(),
+            circuit: self.circuit_name.clone(),
+            gates: self.gates,
+            nets: self.nets,
+            cached: true,
+        }
+    }
+
     /// The fingerprint key clients address this entry by.
     pub fn key(&self) -> &str {
         &self.key
@@ -383,7 +410,8 @@ impl CircuitCache {
     }
 
     /// Parses, canonicalises, fingerprints and (if new) compiles `text` in
-    /// the native `.net` format.
+    /// the native `.net` format; canonical text of a cached circuit skips
+    /// the parse.
     pub fn load(&self, text: &str) -> Result<LoadReport, ProtocolError> {
         self.load_as(text, NetlistFormat::Net)
     }
@@ -392,8 +420,14 @@ impl CircuitCache {
     ///
     /// The fingerprint key is computed over the canonical `.net` re-emission,
     /// never the submitted text, so the same circuit keys identically whether
-    /// it arrived as `.net` or as structural Verilog.
+    /// it arrived as `.net` or as structural Verilog.  A `.net` text that is
+    /// byte for byte a cached entry's canonical text hits without parsing.
     pub fn load_as(&self, text: &str, format: NetlistFormat) -> Result<LoadReport, ProtocolError> {
+        if format == NetlistFormat::Net {
+            if let Some(report) = self.canonical_hit(text) {
+                return Ok(report);
+            }
+        }
         let parsed = match format {
             NetlistFormat::Net => parser::parse(text)
                 .map_err(|err| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))?,
@@ -401,40 +435,31 @@ impl CircuitCache {
                 .map_err(|err| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))?,
         };
         let canonical = writer::to_text(&parsed);
-        let key = format!("c-{:016x}", fingerprint(library().name(), &canonical));
+        let key = cache_key(&canonical);
 
         let mut entries = self.entries.lock().unwrap_or_else(|err| err.into_inner());
         if let Some(entry) = entries.get(&key) {
-            self.touch(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let state = entry.read_state();
-            return Ok(LoadReport {
-                key: key.clone(),
-                circuit: entry.circuit_name.clone(),
-                gates: state.pristine.netlist().gates().len(),
-                nets: state.pristine.netlist().nets().len(),
-                cached: true,
-            });
+            return Ok(self.hit(entry));
         }
 
         let pristine = CompiledCircuit::compile_owned(parsed, library())
             .map_err(|err| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))?;
-        let report = LoadReport {
-            key: key.clone(),
-            circuit: pristine.netlist().name().to_string(),
-            gates: pristine.netlist().gates().len(),
-            nets: pristine.netlist().nets().len(),
-            cached: false,
-        };
         let entry = Arc::new(CacheEntry {
             key: key.clone(),
-            circuit_name: report.circuit.clone(),
+            circuit_name: pristine.netlist().name().to_string(),
+            canonical,
+            gates: pristine.netlist().gates().len(),
+            nets: pristine.netlist().nets().len(),
             last_used: AtomicU64::new(0),
             state: RwLock::new(CircuitState {
                 pristine,
                 overlay: None,
             }),
         });
+        let report = LoadReport {
+            cached: false,
+            ..entry.report()
+        };
         self.touch(&entry);
         self.compiles.fetch_add(1, Ordering::Relaxed);
         entries.insert(key, entry);
@@ -451,6 +476,24 @@ impl CircuitCache {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(report)
+    }
+
+    /// Answers a `.net` load without parsing when `text` is byte for byte
+    /// the canonical text of a cached entry.  The writer's output is a fixed
+    /// point of parse → `to_text`, so parsing it would re-emit the same
+    /// bytes, fingerprint to the same key and hit the same entry.
+    fn canonical_hit(&self, text: &str) -> Option<LoadReport> {
+        let key = cache_key(text);
+        let entries = self.entries.lock().unwrap_or_else(|err| err.into_inner());
+        let entry = entries.get(&key).filter(|entry| entry.canonical == text)?;
+        Some(self.hit(entry))
+    }
+
+    /// Counts a hit on `entry` and reports it.
+    fn hit(&self, entry: &CacheEntry) -> LoadReport {
+        self.touch(entry);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        entry.report()
     }
 
     /// Resolves a key, refreshing its LRU position.
@@ -492,6 +535,16 @@ mod tests {
         assert_eq!(first.key, second.key);
         assert_eq!(cache.counters().compiles, 1);
         assert_eq!(cache.counters().hits, 1);
+
+        // Canonical text is answered by the parse-free path alone.
+        let fast = cache
+            .canonical_hit(&c17_text())
+            .expect("canonical text hits");
+        assert!(fast.cached);
+        assert_eq!(fast.key, first.key);
+        assert_eq!((fast.gates, fast.nets), (first.gates, first.nets));
+        assert_eq!(cache.counters().hits, 2);
+        assert_eq!(cache.counters().compiles, 1);
     }
 
     #[test]
@@ -594,5 +647,89 @@ mod tests {
         assert_eq!(err.code, ErrorCode::UnknownGate);
         // The first (valid) command must not have leaked through.
         assert!(state.overlay.is_none());
+    }
+
+    #[test]
+    fn non_canonical_spelling_hits_through_the_parse_path() {
+        let cache = CircuitCache::new(4);
+        let canonical = cache.load(&c17_text()).unwrap();
+        let commented = format!("# the same circuit, spelled differently\n{}", c17_text());
+        assert!(cache.canonical_hit(&commented).is_none());
+        assert_eq!(cache.counters().hits, 0);
+
+        let report = cache.load(&commented).unwrap();
+        assert!(report.cached);
+        assert_eq!(report.key, canonical.key);
+        assert_eq!(cache.counters().hits, 1);
+        assert_eq!(cache.counters().compiles, 1);
+    }
+
+    #[test]
+    fn evicted_canonical_text_compiles_again() {
+        let cache = CircuitCache::new(1);
+        let first = cache.load(&c17_text()).unwrap();
+        cache
+            .load(&writer::to_text(&generators::parity_tree(4)))
+            .unwrap();
+        assert!(cache.canonical_hit(&c17_text()).is_none());
+
+        let again = cache.load(&c17_text()).unwrap();
+        assert!(!again.cached);
+        assert_eq!(again.key, first.key);
+        assert_eq!(cache.counters().compiles, 3);
+        assert_eq!(cache.counters().evictions, 2);
+    }
+
+    #[test]
+    fn reload_under_an_edit_overlay_reports_the_pristine_circuit() {
+        let cache = CircuitCache::new(4);
+        let loaded = cache.load(&c17_text()).unwrap();
+        let entry = cache.get(&loaded.key).unwrap();
+        let input = entry.read_state().pristine.netlist().nets()[0]
+            .name()
+            .to_string();
+        entry
+            .write_state()
+            .apply_commands(&[EditCommand::Insert {
+                kind: CellKind::Inv,
+                name: "what_if".to_string(),
+                inputs: vec![input],
+                output: "what_if_out".to_string(),
+            }])
+            .unwrap();
+        assert_eq!(
+            entry.read_state().active().netlist().gates().len(),
+            loaded.gates + 1
+        );
+
+        let reloaded = cache.load(&c17_text()).unwrap();
+        assert!(reloaded.cached);
+        assert_eq!(reloaded.key, loaded.key);
+        assert_eq!((reloaded.gates, reloaded.nets), (loaded.gates, loaded.nets));
+        assert!(entry.read_state().overlay.is_some());
+    }
+
+    #[test]
+    fn fast_path_keys_equal_parse_path_keys_on_the_corpus() {
+        for entry in halotis_corpus::standard_corpus() {
+            let canonical = writer::to_text(&entry.netlist);
+            let verilog_text = verilog::to_verilog(&entry.netlist);
+            // Each cold load stores the canonical text its parse re-emits;
+            // the fast path hits only if that is exactly the writer's text.
+            for format in [NetlistFormat::Net, NetlistFormat::Verilog] {
+                let cache = CircuitCache::new(1);
+                let text = match format {
+                    NetlistFormat::Net => &canonical,
+                    NetlistFormat::Verilog => &verilog_text,
+                };
+                let parsed = cache.load_as(text, format).unwrap();
+                assert!(!parsed.cached);
+                let fast = cache
+                    .canonical_hit(&canonical)
+                    .unwrap_or_else(|| panic!("{}: canonical text must hit", entry.name));
+                assert_eq!(fast.key, parsed.key, "{} via {format:?}", entry.name);
+                assert_eq!(fast.key, cache_key(&canonical));
+            }
+        }
     }
 }

@@ -11,7 +11,14 @@
 //! integers are exact only up to 2^53; object keys keep their first
 //! occurrence (duplicates are rejected); no `\u` surrogate-pair pedantry
 //! beyond what [`char::from_u32`] accepts.
+//!
+//! Decoding is linear in the input, so no frame up to the size limit can
+//! stall a connection: a string copies each run of plain bytes (everything
+//! up to the next `"`, `\` or control byte) in one UTF-8-checked step, and
+//! an object checks duplicate keys against a set once it outgrows a short
+//! scan.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A parsed JSON document.
@@ -127,6 +134,9 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 /// Nesting bound: a hostile frame of `[[[[…` must not overflow the stack.
 const MAX_DEPTH: usize = 64;
 
+/// Object size up to which duplicate keys are found by a linear scan.
+const SCAN_MEMBERS: usize = 16;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     offset: usize,
@@ -190,6 +200,9 @@ impl Parser<'_> {
         self.expect(b'{')?;
         self.depth += 1;
         let mut members: Vec<(String, Value)> = Vec::new();
+        // Key set for duplicate detection, built only once an object
+        // outgrows a short scan, so a hostile object stays linear.
+        let mut names: HashSet<String> = HashSet::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.offset += 1;
@@ -199,7 +212,15 @@ impl Parser<'_> {
         loop {
             self.skip_whitespace();
             let key = self.string()?;
-            if members.iter().any(|(name, _)| *name == key) {
+            let duplicate = if members.len() < SCAN_MEMBERS {
+                members.iter().any(|(name, _)| *name == key)
+            } else {
+                if names.is_empty() {
+                    names.extend(members.iter().map(|(name, _)| name.clone()));
+                }
+                !names.insert(key.clone())
+            };
+            if duplicate {
                 return Err(self.error(format!("duplicate key {key:?}")));
             }
             self.skip_whitespace();
@@ -250,6 +271,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut text = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash or
+            // control byte in one step, so decoding stays linear in the
+            // input.  The run starts on a scalar boundary and ends before an
+            // ASCII byte (or at the end), so it is whole UTF-8 scalars.
+            let start = self.offset;
+            let rest = &self.bytes[start..];
+            let run = rest
+                .iter()
+                .position(|&byte| byte == b'"' || byte == b'\\' || byte < 0x20)
+                .unwrap_or(rest.len());
+            let plain = std::str::from_utf8(&rest[..run]).map_err(|err| ParseError {
+                message: "invalid UTF-8".to_string(),
+                offset: start + err.valid_up_to(),
+            })?;
+            text.push_str(plain);
+            self.offset += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -286,21 +323,8 @@ impl Parser<'_> {
                         _ => return Err(self.error("unknown escape")),
                     }
                 }
-                Some(byte) if byte < 0x20 => {
-                    return Err(self.error("raw control character in string"))
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.offset..];
-                    let step = std::str::from_utf8(rest)
-                        .ok()
-                        .and_then(|s| s.chars().next())
-                        .map(|c| c.len_utf8())
-                        .ok_or_else(|| self.error("invalid UTF-8"))?;
-                    text.push_str(std::str::from_utf8(&rest[..step]).unwrap());
-                    self.offset += step;
-                }
+                // The run stopped, so this is a byte below 0x20.
+                Some(_) => return Err(self.error("raw control character in string")),
             }
         }
     }
@@ -378,6 +402,10 @@ pub fn number(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_request, NetlistFormat, Request};
+    use proptest::collection;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn parses_nested_documents() {
@@ -415,5 +443,122 @@ mod tests {
             let parsed = parse(&rendered).unwrap();
             assert_eq!(parsed.as_f64().unwrap().to_bits(), value.to_bits());
         }
+    }
+
+    /// One piece of a generated string: a plain ASCII run, a quote, a
+    /// backslash, a control character, or a 2-, 3- or 4-byte scalar.
+    fn piece(kind: u8, selector: u32) -> String {
+        let scalar = |code: u32| char::from_u32(code).expect("valid scalar").to_string();
+        match kind {
+            0 => "plain run/ 09"
+                .chars()
+                .cycle()
+                .skip(selector as usize % 13)
+                .take(1 + selector as usize % 64)
+                .collect(),
+            1 => "\"".to_string(),
+            2 => "\\".to_string(),
+            3 => scalar(selector % 0x20),
+            4 => scalar(0x80 + selector % (0x800 - 0x80)),
+            5 => {
+                // U+0800..=U+FFFF without the surrogate block.
+                let code = 0x800 + selector % 0xF000;
+                scalar(if code >= 0xD800 { code + 0x800 } else { code })
+            }
+            _ => scalar(0x1_0000 + selector % (0x11_0000 - 0x1_0000)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decoding_inverts_string_encoding(
+            pieces in collection::vec((0u8..7, any::<u32>()), 0..48)
+        ) {
+            let text: String = pieces
+                .iter()
+                .map(|&(kind, selector)| piece(kind, selector))
+                .collect();
+            prop_assert_eq!(parse(&string(&text)), Ok(Value::String(text)));
+        }
+    }
+
+    #[test]
+    fn string_error_offsets_survive_a_long_plain_run() {
+        let run = "plain π € 𝄞 ".repeat(5_000);
+        let control = format!("[\"{run}\u{1}\"]");
+        assert_eq!(
+            parse(&control),
+            Err(ParseError {
+                message: "raw control character in string".to_string(),
+                offset: 2 + run.len(),
+            })
+        );
+        let unterminated = format!("[\"a\\n{run}");
+        assert_eq!(
+            parse(&unterminated),
+            Err(ParseError {
+                message: "unterminated string".to_string(),
+                offset: unterminated.len(),
+            })
+        );
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_in_large_objects() {
+        let members: Vec<String> = (0..100_000)
+            .map(|index| format!("\"k{index}\":0"))
+            .collect();
+        let object = format!("{{{}}}", members.join(","));
+        assert_eq!(parse(&object).unwrap().as_object().unwrap().len(), 100_000);
+        // (repeated key, position of the repeat): before and after the
+        // scan gives way to the key set, and at the very end.
+        for (repeated, at) in [(3, 5), (3, 50_000), (77, 400), (99_999, 100_000)] {
+            let mut parts = members.clone();
+            let key = format!("\"k{repeated}\"");
+            parts.insert(at, format!("{key}:1"));
+            let text = format!("{{{}}}", parts.join(","));
+            // Reported just past the repeated key.
+            let offset = 1 + parts[..at].join(",").len() + 1 + key.len();
+            assert_eq!(
+                parse(&text).map(|_| ()),
+                Err(ParseError {
+                    message: format!("duplicate key \"k{repeated}\""),
+                    offset,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_load_decodes_in_linear_time() {
+        let mut netlist = String::new();
+        let mut index = 0;
+        while netlist.len() < 1 << 20 {
+            let _ = writeln!(
+                netlist,
+                "gate nand2 g{index} a{index} b{index} -> n{index} # \"π\"\t"
+            );
+            index += 1;
+        }
+        let body = crate::client::load_request(7, &netlist);
+        let started = Instant::now();
+        let (id, request) = parse_request(body.as_bytes());
+        let elapsed = started.elapsed();
+        assert_eq!(id, Some(7));
+        match request {
+            Ok(Request::Load {
+                netlist: decoded,
+                format: NetlistFormat::Net,
+            }) => assert!(decoded == netlist, "the netlist text must decode unchanged"),
+            other => panic!("expected a load request, got {other:?}"),
+        }
+        // Linear decoding takes milliseconds; the quadratic decoder took
+        // tens of seconds on this body.
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "1 MiB load body took {elapsed:?} to parse"
+        );
     }
 }
