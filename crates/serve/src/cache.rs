@@ -423,11 +423,18 @@ impl CircuitCache {
     /// it arrived as `.net` or as structural Verilog.  A `.net` text that is
     /// byte for byte a cached entry's canonical text hits without parsing.
     pub fn load_as(&self, text: &str, format: NetlistFormat) -> Result<LoadReport, ProtocolError> {
-        if format == NetlistFormat::Net {
-            if let Some(report) = self.canonical_hit(text) {
-                return Ok(report);
+        // A `.net` text's own key, which is its circuit's key if the text is
+        // canonical.
+        let text_key = match format {
+            NetlistFormat::Net => {
+                let key = cache_key(text);
+                if let Some(report) = self.canonical_hit(&key, text) {
+                    return Ok(report);
+                }
+                Some(key)
             }
-        }
+            NetlistFormat::Verilog => None,
+        };
         let parsed = match format {
             NetlistFormat::Net => parser::parse(text)
                 .map_err(|err| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))?,
@@ -435,7 +442,10 @@ impl CircuitCache {
                 .map_err(|err| ProtocolError::new(ErrorCode::NetlistError, err.to_string()))?,
         };
         let canonical = writer::to_text(&parsed);
-        let key = cache_key(&canonical);
+        let key = match text_key {
+            Some(key) if canonical == text => key,
+            _ => cache_key(&canonical),
+        };
 
         let mut entries = self.entries.lock().unwrap_or_else(|err| err.into_inner());
         if let Some(entry) = entries.get(&key) {
@@ -478,14 +488,14 @@ impl CircuitCache {
         Ok(report)
     }
 
-    /// Answers a `.net` load without parsing when `text` is byte for byte
-    /// the canonical text of a cached entry.  The writer's output is a fixed
-    /// point of parse → `to_text`, so parsing it would re-emit the same
-    /// bytes, fingerprint to the same key and hit the same entry.
-    fn canonical_hit(&self, text: &str) -> Option<LoadReport> {
-        let key = cache_key(text);
+    /// Answers a `.net` load without parsing when `text`, whose key is
+    /// `key`, is byte for byte the canonical text of a cached entry.  The
+    /// writer's output is a fixed point of parse → `to_text`, so parsing it
+    /// would re-emit the same bytes, fingerprint to the same key and hit the
+    /// same entry.
+    fn canonical_hit(&self, key: &str, text: &str) -> Option<LoadReport> {
         let entries = self.entries.lock().unwrap_or_else(|err| err.into_inner());
-        let entry = entries.get(&key).filter(|entry| entry.canonical == text)?;
+        let entry = entries.get(key).filter(|entry| entry.canonical == text)?;
         Some(self.hit(entry))
     }
 
@@ -525,6 +535,11 @@ mod tests {
         writer::to_text(&generators::c17())
     }
 
+    /// The parse-free path alone, keyed as `load_as` keys it.
+    fn fast_hit(cache: &CircuitCache, text: &str) -> Option<LoadReport> {
+        cache.canonical_hit(&cache_key(text), text)
+    }
+
     #[test]
     fn load_is_idempotent_and_canonicalising() {
         let cache = CircuitCache::new(4);
@@ -537,9 +552,7 @@ mod tests {
         assert_eq!(cache.counters().hits, 1);
 
         // Canonical text is answered by the parse-free path alone.
-        let fast = cache
-            .canonical_hit(&c17_text())
-            .expect("canonical text hits");
+        let fast = fast_hit(&cache, &c17_text()).expect("canonical text hits");
         assert!(fast.cached);
         assert_eq!(fast.key, first.key);
         assert_eq!((fast.gates, fast.nets), (first.gates, first.nets));
@@ -654,7 +667,7 @@ mod tests {
         let cache = CircuitCache::new(4);
         let canonical = cache.load(&c17_text()).unwrap();
         let commented = format!("# the same circuit, spelled differently\n{}", c17_text());
-        assert!(cache.canonical_hit(&commented).is_none());
+        assert!(fast_hit(&cache, &commented).is_none());
         assert_eq!(cache.counters().hits, 0);
 
         let report = cache.load(&commented).unwrap();
@@ -671,7 +684,7 @@ mod tests {
         cache
             .load(&writer::to_text(&generators::parity_tree(4)))
             .unwrap();
-        assert!(cache.canonical_hit(&c17_text()).is_none());
+        assert!(fast_hit(&cache, &c17_text()).is_none());
 
         let again = cache.load(&c17_text()).unwrap();
         assert!(!again.cached);
@@ -724,8 +737,7 @@ mod tests {
                 };
                 let parsed = cache.load_as(text, format).unwrap();
                 assert!(!parsed.cached);
-                let fast = cache
-                    .canonical_hit(&canonical)
+                let fast = fast_hit(&cache, &canonical)
                     .unwrap_or_else(|| panic!("{}: canonical text must hit", entry.name));
                 assert_eq!(fast.key, parsed.key, "{} via {format:?}", entry.name);
                 assert_eq!(fast.key, cache_key(&canonical));

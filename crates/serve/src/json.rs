@@ -14,9 +14,8 @@
 //!
 //! Decoding is linear in the input, so no frame up to the size limit can
 //! stall a connection: a string copies each run of plain bytes (everything
-//! up to the next `"`, `\` or control byte) in one UTF-8-checked step, and
-//! an object checks duplicate keys against a set once it outgrows a short
-//! scan.
+//! up to the next `"`, `\` or control byte) in one step, and an object
+//! checks duplicate keys against a set of the keys seen so far.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -118,14 +117,14 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut parser = Parser {
-        bytes: text.as_bytes(),
+        source: text,
         offset: 0,
         depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
-    if parser.offset != parser.bytes.len() {
+    if parser.offset != text.len() {
         return Err(parser.error("trailing data after document"));
     }
     Ok(value)
@@ -134,11 +133,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 /// Nesting bound: a hostile frame of `[[[[…` must not overflow the stack.
 const MAX_DEPTH: usize = 64;
 
-/// Object size up to which duplicate keys are found by a linear scan.
-const SCAN_MEMBERS: usize = 16;
-
 struct Parser<'a> {
-    bytes: &'a [u8],
+    source: &'a str,
     offset: usize,
     depth: usize,
 }
@@ -152,7 +148,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.offset).copied()
+        self.source.as_bytes().get(self.offset).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -171,7 +167,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.offset..].starts_with(word.as_bytes()) {
+        if self.source.as_bytes()[self.offset..].starts_with(word.as_bytes()) {
             self.offset += word.len();
             Ok(value)
         } else {
@@ -200,8 +196,7 @@ impl Parser<'_> {
         self.expect(b'{')?;
         self.depth += 1;
         let mut members: Vec<(String, Value)> = Vec::new();
-        // Key set for duplicate detection, built only once an object
-        // outgrows a short scan, so a hostile object stays linear.
+        // Keys seen so far, so duplicate detection stays linear.
         let mut names: HashSet<String> = HashSet::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
@@ -212,15 +207,7 @@ impl Parser<'_> {
         loop {
             self.skip_whitespace();
             let key = self.string()?;
-            let duplicate = if members.len() < SCAN_MEMBERS {
-                members.iter().any(|(name, _)| *name == key)
-            } else {
-                if names.is_empty() {
-                    names.extend(members.iter().map(|(name, _)| name.clone()));
-                }
-                !names.insert(key.clone())
-            };
-            if duplicate {
+            if !names.insert(key.clone()) {
                 return Err(self.error(format!("duplicate key {key:?}")));
             }
             self.skip_whitespace();
@@ -275,17 +262,12 @@ impl Parser<'_> {
             // control byte in one step, so decoding stays linear in the
             // input.  The run starts on a scalar boundary and ends before an
             // ASCII byte (or at the end), so it is whole UTF-8 scalars.
-            let start = self.offset;
-            let rest = &self.bytes[start..];
+            let rest = &self.source[self.offset..];
             let run = rest
-                .iter()
-                .position(|&byte| byte == b'"' || byte == b'\\' || byte < 0x20)
+                .bytes()
+                .position(|byte| byte == b'"' || byte == b'\\' || byte < 0x20)
                 .unwrap_or(rest.len());
-            let plain = std::str::from_utf8(&rest[..run]).map_err(|err| ParseError {
-                message: "invalid UTF-8".to_string(),
-                offset: start + err.valid_up_to(),
-            })?;
-            text.push_str(plain);
+            text.push_str(&rest[..run]);
             self.offset += run;
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -308,9 +290,8 @@ impl Parser<'_> {
                         b't' => text.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .source
                                 .get(self.offset..self.offset + 4)
-                                .and_then(|hex| std::str::from_utf8(hex).ok())
                                 .ok_or_else(|| self.error("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("bad \\u escape"))?;
@@ -352,7 +333,7 @@ impl Parser<'_> {
                 self.offset += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.offset]).unwrap();
+        let text = &self.source[start..self.offset];
         let value: f64 = text.parse().map_err(|_| ParseError {
             message: format!("bad number {text:?}"),
             offset: start,
@@ -512,8 +493,8 @@ mod tests {
             .collect();
         let object = format!("{{{}}}", members.join(","));
         assert_eq!(parse(&object).unwrap().as_object().unwrap().len(), 100_000);
-        // (repeated key, position of the repeat): before and after the
-        // scan gives way to the key set, and at the very end.
+        // (repeated key, position of the repeat): near the start, in the
+        // middle, and at the very end.
         for (repeated, at) in [(3, 5), (3, 50_000), (77, 400), (99_999, 100_000)] {
             let mut parts = members.clone();
             let key = format!("\"k{repeated}\"");
