@@ -12,11 +12,9 @@
 //! benchmarks", IEEE Design & Test 1999): c432 as a 27-channel interrupt
 //! controller, c880 as an 8-bit ALU.  The primary-input/-output profiles
 //! match the originals exactly (c432: 36 in / 7 out; c880: 60 in / 26 out);
-//! gate counts are of the same order but not gate-for-gate identical.  Each
-//! committed file is rendered from a reconstruction function in this module
-//! ([`reconstruct_c432`] / [`reconstruct_c880`]) and a test pins the file to
-//! its generator byte-for-byte, so the text, the loader and the builder can
-//! never drift apart.
+//! gate counts are of the same order but not gate-for-gate identical.  The
+//! committed files are the circuits' only source; this module's tests
+//! check each against an executable model of its spec.
 //!
 //! (The tiny c17 — six NAND gates — is genuinely the original netlist and
 //! lives in [`generators::c17`](crate::generators::c17).)
@@ -29,16 +27,13 @@
 //! reference model the differential tests evolve alongside the timing
 //! simulation.
 
-use halotis_core::NetId;
-
-use crate::cell::CellKind;
-use crate::netlist::{Netlist, NetlistBuilder};
+use crate::netlist::Netlist;
 use crate::parser;
 
-/// The committed c432 netlist text (rendered from [`reconstruct_c432`]).
+/// The committed c432 netlist text.
 pub const C432_TEXT: &str = include_str!("../circuits/c432.net");
 
-/// The committed c880 netlist text (rendered from [`reconstruct_c880`]).
+/// The committed c880 netlist text.
 pub const C880_TEXT: &str = include_str!("../circuits/c880.net");
 
 /// Loads the committed c432 benchmark through the netlist parser.
@@ -67,10 +62,13 @@ pub fn c880() -> Netlist {
     parser::parse(C880_TEXT).expect("committed c880.net parses")
 }
 
-/// The committed s27 netlist text (rendered from [`reconstruct_s27`]).
+/// The committed s27 netlist text.
 pub const S27_TEXT: &str = include_str!("../circuits/s27.net");
 
 /// Loads the committed ISCAS-89 s27 benchmark through the netlist parser.
+///
+/// Registers `g5`/`g6`/`g7` capture `g10`/`g11`/`g13` on the rising edge
+/// of `clk`; the single output `g17` is the complement of `g11`.
 ///
 /// # Example
 ///
@@ -81,55 +79,6 @@ pub const S27_TEXT: &str = include_str!("../circuits/s27.net");
 /// ```
 pub fn s27() -> Netlist {
     parser::parse(S27_TEXT).expect("committed s27.net parses")
-}
-
-/// Builds the s27 benchmark: the original ISCAS-89 netlist with the clock
-/// explicit as the first primary input.
-///
-/// Registers `g5`/`g6`/`g7` capture `g10`/`g11`/`g13` on the rising edge
-/// of `clk`; the single output `g17` is the complement of `g11`.
-pub fn reconstruct_s27() -> Netlist {
-    let mut builder = NetlistBuilder::new("s27");
-    let clk = builder.add_input("clk");
-    let g0 = builder.add_input("g0");
-    let g1 = builder.add_input("g1");
-    let g2 = builder.add_input("g2");
-    let g3 = builder.add_input("g3");
-    let g5 = builder.add_net("g5");
-    let g6 = builder.add_net("g6");
-    let g7 = builder.add_net("g7");
-    let g8 = builder.add_net("g8");
-    let g9 = builder.add_net("g9");
-    let g10 = builder.add_net("g10");
-    let g11 = builder.add_net("g11");
-    let g12 = builder.add_net("g12");
-    let g13 = builder.add_net("g13");
-    let g14 = builder.add_net("g14");
-    let g15 = builder.add_net("g15");
-    let g16 = builder.add_net("g16");
-    let g17 = builder.add_net("g17");
-    let gates: [(CellKind, &str, &[NetId], NetId); 13] = [
-        (CellKind::Inv, "not14", &[g0], g14),
-        (CellKind::Inv, "not17", &[g11], g17),
-        (CellKind::And2, "and8", &[g14, g6], g8),
-        (CellKind::Or2, "or15", &[g12, g8], g15),
-        (CellKind::Or2, "or16", &[g3, g8], g16),
-        (CellKind::Nand2, "nand9", &[g16, g15], g9),
-        (CellKind::Nor2, "nor10", &[g14, g11], g10),
-        (CellKind::Nor2, "nor11", &[g5, g9], g11),
-        (CellKind::Nor2, "nor12", &[g1, g7], g12),
-        (CellKind::Nor2, "nor13", &[g2, g12], g13),
-        (CellKind::Dff, "dff5", &[g10, clk], g5),
-        (CellKind::Dff, "dff6", &[g11, clk], g6),
-        (CellKind::Dff, "dff7", &[g13, clk], g7),
-    ];
-    for (kind, instance, inputs, output) in gates {
-        builder
-            .add_gate(kind, instance, inputs, output)
-            .expect("s27 net must be undriven");
-    }
-    builder.mark_output(g17);
-    builder.build().expect("s27 is a valid netlist")
 }
 
 /// One clock cycle of the cycle-accurate s27 reference model.
@@ -157,768 +106,12 @@ pub fn s27_reference_step(state: [bool; 3], inputs: [bool; 4]) -> (bool, [bool; 
     (g17, [g10, g11, g13])
 }
 
-/// Balanced OR2 reduction over `nets`; the root net is named `root`,
-/// intermediate nets `{prefix}{round}_{index}`.
-fn or2_fold(builder: &mut NetlistBuilder, nets: &[NetId], prefix: &str, root: &str) -> NetId {
-    assert!(nets.len() >= 2, "fold needs at least two nets");
-    let mut frontier = nets.to_vec();
-    let mut round = 0usize;
-    while frontier.len() > 1 {
-        let mut next: Vec<NetId> = Vec::with_capacity(frontier.len().div_ceil(2));
-        for pair in frontier.chunks(2) {
-            match pair {
-                [x, y] => {
-                    let out = if frontier.len() == 2 {
-                        builder.add_net(root)
-                    } else {
-                        builder.add_net(format!("{prefix}{round}_{}", next.len()))
-                    };
-                    builder
-                        .add_gate(
-                            CellKind::Or2,
-                            format!("{prefix}or{round}_{}", next.len()),
-                            &[*x, *y],
-                            out,
-                        )
-                        .expect("fold net must be undriven");
-                    next.push(out);
-                }
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2) yields one or two elements"),
-            }
-        }
-        frontier = next;
-        round += 1;
-    }
-    frontier[0]
-}
-
-/// Builds the c432 reconstruction: a 27-channel interrupt controller.
-///
-/// The 27 request lines arrive as three 9-bit buses `a`, `b`, `c` (bus `a`
-/// has the highest priority, `c` the lowest) gated by a 9-bit enable bus
-/// `e`.  Outputs:
-///
-/// * `pa` — some enabled channel on bus `a` requests,
-/// * `pb` — no `a` request, but some enabled `b` channel requests,
-/// * `pc` — no `a`/`b` request, but some enabled `c` channel requests,
-/// * `chan3..chan0` — the 4-bit index (1-based, 0 = idle) of the
-///   highest-priority requesting channel within the winning bus.
-pub fn reconstruct_c432() -> Netlist {
-    let mut builder = NetlistBuilder::new("c432");
-    let e: Vec<NetId> = (0..9).map(|i| builder.add_input(format!("e{i}"))).collect();
-    let a: Vec<NetId> = (0..9).map(|i| builder.add_input(format!("a{i}"))).collect();
-    let b: Vec<NetId> = (0..9).map(|i| builder.add_input(format!("b{i}"))).collect();
-    let c: Vec<NetId> = (0..9).map(|i| builder.add_input(format!("c{i}"))).collect();
-
-    // Input inverter rank (the original also begins by inverting its
-    // inputs); AND is then formed as NOR of the complements.
-    let invert = |builder: &mut NetlistBuilder, bus: &[NetId], tag: &str| -> Vec<NetId> {
-        bus.iter()
-            .enumerate()
-            .map(|(i, &net)| {
-                let out = builder.add_net(format!("n{tag}{i}"));
-                builder
-                    .add_gate(CellKind::Inv, format!("inv{tag}{i}"), &[net], out)
-                    .expect("inverter net must be undriven");
-                out
-            })
-            .collect()
-    };
-    let ne = invert(&mut builder, &e, "e");
-    let na = invert(&mut builder, &a, "a");
-    let nb = invert(&mut builder, &b, "b");
-    let nc = invert(&mut builder, &c, "c");
-
-    let request =
-        |builder: &mut NetlistBuilder, nbus: &[NetId], ne: &[NetId], tag: &str| -> Vec<NetId> {
-            (0..9)
-                .map(|i| {
-                    let out = builder.add_net(format!("req{tag}{i}"));
-                    builder
-                        .add_gate(
-                            CellKind::Nor2,
-                            format!("req{tag}nor{i}"),
-                            &[nbus[i], ne[i]],
-                            out,
-                        )
-                        .expect("request net must be undriven");
-                    out
-                })
-                .collect()
-        };
-
-    // Bus A: requests and the bus-level grant.
-    let reqa = request(&mut builder, &na, &ne, "a");
-    let anya = or2_fold(&mut builder, &reqa, "fa", "anya");
-    let npa = builder.add_net("npa");
-    builder
-        .add_gate(CellKind::Inv, "invpa", &[anya], npa)
-        .expect("mask net must be undriven");
-
-    // Bus B: requests masked by the A grant.
-    let reqb = request(&mut builder, &nb, &ne, "b");
-    let visb: Vec<NetId> = (0..9)
-        .map(|i| {
-            let out = builder.add_net(format!("visb{i}"));
-            builder
-                .add_gate(CellKind::And2, format!("visband{i}"), &[reqb[i], npa], out)
-                .expect("masked request net must be undriven");
-            out
-        })
-        .collect();
-    let anyb = or2_fold(&mut builder, &visb, "fb", "anyb");
-    let nab = builder.add_net("nab");
-    builder
-        .add_gate(CellKind::Nor2, "norab", &[anya, anyb], nab)
-        .expect("mask net must be undriven");
-
-    // Bus C: requests masked by both higher-priority grants.
-    let reqc = request(&mut builder, &nc, &ne, "c");
-    let visc: Vec<NetId> = (0..9)
-        .map(|i| {
-            let out = builder.add_net(format!("visc{i}"));
-            builder
-                .add_gate(CellKind::And2, format!("viscand{i}"), &[reqc[i], nab], out)
-                .expect("masked request net must be undriven");
-            out
-        })
-        .collect();
-    let anyc = or2_fold(&mut builder, &visc, "fc", "anyc");
-
-    // Bus-grant outputs.
-    for (tag, net) in [("pa", anya), ("pb", anyb), ("pc", anyc)] {
-        let out = builder.add_net(tag);
-        builder
-            .add_gate(CellKind::Buf, format!("{tag}buf"), &[net], out)
-            .expect("grant output net must be undriven");
-        builder.mark_output(out);
-    }
-
-    // Winning-bus channel requests (at most one bus contributes).
-    let sel: Vec<NetId> = (0..9)
-        .map(|i| {
-            let out = builder.add_net(format!("sel{i}"));
-            builder
-                .add_gate(
-                    CellKind::Or3,
-                    format!("selor{i}"),
-                    &[reqa[i], visb[i], visc[i]],
-                    out,
-                )
-                .expect("selected request net must be undriven");
-            out
-        })
-        .collect();
-
-    // Priority-encode the lowest requesting channel: hi_i = any request
-    // below i, first_i = sel_i with nothing below.
-    let mut hi = sel[0];
-    let mut first: Vec<NetId> = vec![sel[0]];
-    for i in 1..9 {
-        if i > 1 {
-            let next = builder.add_net(format!("hi{i}"));
-            builder
-                .add_gate(CellKind::Or2, format!("hior{i}"), &[hi, sel[i - 1]], next)
-                .expect("priority net must be undriven");
-            hi = next;
-        }
-        let nhi = builder.add_net(format!("nhi{i}"));
-        builder
-            .add_gate(CellKind::Inv, format!("hiinv{i}"), &[hi], nhi)
-            .expect("priority net must be undriven");
-        let out = builder.add_net(format!("first{i}"));
-        builder
-            .add_gate(CellKind::And2, format!("firstand{i}"), &[sel[i], nhi], out)
-            .expect("priority net must be undriven");
-        first.push(out);
-    }
-
-    // Binary channel address: channel i carries the 1-based code i + 1.
-    for (bit, channels) in [
-        (0usize, vec![0usize, 2, 4, 6, 8]),
-        (1, vec![1, 2, 5, 6]),
-        (2, vec![3, 4, 5, 6]),
-        (3, vec![7, 8]),
-    ] {
-        let nets: Vec<NetId> = channels.iter().map(|&i| first[i]).collect();
-        let root = or2_fold(
-            &mut builder,
-            &nets,
-            &format!("ch{bit}"),
-            &format!("chan{bit}"),
-        );
-        builder.mark_output(root);
-    }
-
-    builder
-        .build()
-        .expect("c432 reconstruction is a valid netlist")
-}
-
-/// Builds the c880 reconstruction: an 8-bit ALU.
-///
-/// Buses (all LSB-first): operands `a`, `b` (via enable mask `e` and
-/// conditional invert `minv`), second datapath operands `c`, `d`, constant
-/// bus `k`, function-select bus `s`, plus `cin`, `mpass` and `tsel`.
-///
-/// * main adder: `am = a · e`, `bx = b ^ minv`; `sum = am + bx + cin`
-///   through a generate/propagate carry chain with a (redundant) AND4
-///   group-propagate skip on the carry-out,
-/// * `y` bus: `s1 s0` select sum / AND / OR / XOR of `am`,`bx`; `s4`/`s5`
-///   rotate the result left by 1 and 2,
-/// * `t` bus: `tsel` selects `c + d + cin` or `c - d`; `s2` inverts,
-/// * `u` bus: `y` when `mpass` or `y == tmux`, else the constant bus `k`;
-///   `s3` inverts,
-/// * flags: `cout` (adder carry, `s6` inverts) and `zero`
-///   (`y`, `t`, `u` all zero, `s7` inverts).
-pub fn reconstruct_c880() -> Netlist {
-    let mut builder = NetlistBuilder::new("c880");
-    let a: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("a{i}"))).collect();
-    let b: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("b{i}"))).collect();
-    let c: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("c{i}"))).collect();
-    let d: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("d{i}"))).collect();
-    let k: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("k{i}"))).collect();
-    let e: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("e{i}"))).collect();
-    let s: Vec<NetId> = (0..8).map(|i| builder.add_input(format!("s{i}"))).collect();
-    let cin = builder.add_input("cin");
-    let minv = builder.add_input("minv");
-    let mpass = builder.add_input("mpass");
-    let tsel = builder.add_input("tsel");
-
-    let gate2 = |builder: &mut NetlistBuilder,
-                 kind: CellKind,
-                 name: String,
-                 x: NetId,
-                 y: NetId,
-                 out: &str|
-     -> NetId {
-        let net = builder.add_net(out);
-        builder
-            .add_gate(kind, name, &[x, y], net)
-            .expect("c880 internal net must be undriven");
-        net
-    };
-
-    // Operand preparation.
-    let am: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("amand{i}"),
-                a[i],
-                e[i],
-                &format!("am{i}"),
-            )
-        })
-        .collect();
-    let bx: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Xor2,
-                format!("bxxor{i}"),
-                b[i],
-                minv,
-                &format!("bx{i}"),
-            )
-        })
-        .collect();
-
-    // Main adder: generate/propagate + carry chain.
-    let p: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Xor2,
-                format!("pxor{i}"),
-                am[i],
-                bx[i],
-                &format!("p{i}"),
-            )
-        })
-        .collect();
-    let g: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("gand{i}"),
-                am[i],
-                bx[i],
-                &format!("g{i}"),
-            )
-        })
-        .collect();
-    let mut carries: Vec<NetId> = vec![cin];
-    for i in 0..8 {
-        let t = gate2(
-            &mut builder,
-            CellKind::And2,
-            format!("ctand{i}"),
-            p[i],
-            carries[i],
-            &format!("ct{i}"),
-        );
-        let next = gate2(
-            &mut builder,
-            CellKind::Or2,
-            format!("ccor{i}"),
-            g[i],
-            t,
-            &format!("cc{}", i + 1),
-        );
-        carries.push(next);
-    }
-    let sum: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Xor2,
-                format!("sumxor{i}"),
-                p[i],
-                carries[i],
-                &format!("sum{i}"),
-            )
-        })
-        .collect();
-    // Redundant group-propagate skip on the carry-out (adds the lookahead
-    // texture of the original without changing the function: if every bit
-    // propagates, the rippled carry already equals cin).
-    let bp0 = builder.add_net("bp0");
-    builder
-        .add_gate(CellKind::And4, "bpand0", &[p[0], p[1], p[2], p[3]], bp0)
-        .expect("skip net must be undriven");
-    let bp1 = builder.add_net("bp1");
-    builder
-        .add_gate(CellKind::And4, "bpand1", &[p[4], p[5], p[6], p[7]], bp1)
-        .expect("skip net must be undriven");
-    let bigp = gate2(
-        &mut builder,
-        CellKind::And2,
-        "bigpand".into(),
-        bp0,
-        bp1,
-        "bigp",
-    );
-    let skp = gate2(
-        &mut builder,
-        CellKind::And2,
-        "skpand".into(),
-        bigp,
-        cin,
-        "skp",
-    );
-    let cout_carry = gate2(
-        &mut builder,
-        CellKind::Or2,
-        "coutor".into(),
-        carries[8],
-        skp,
-        "carry8",
-    );
-
-    // Logic unit: AND and XOR reuse the adder's g/p rank, OR is its own.
-    let orx: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Or2,
-                format!("orxor{i}"),
-                am[i],
-                bx[i],
-                &format!("orx{i}"),
-            )
-        })
-        .collect();
-
-    // 2-to-4 function decode from s0/s1.
-    let ns0 = builder.add_net("ns0");
-    builder
-        .add_gate(CellKind::Inv, "invs0", &[s[0]], ns0)
-        .expect("decode net must be undriven");
-    let ns1 = builder.add_net("ns1");
-    builder
-        .add_gate(CellKind::Inv, "invs1", &[s[1]], ns1)
-        .expect("decode net must be undriven");
-    let m00 = gate2(
-        &mut builder,
-        CellKind::And2,
-        "decand00".into(),
-        ns0,
-        ns1,
-        "m00",
-    );
-    let m01 = gate2(
-        &mut builder,
-        CellKind::And2,
-        "decand01".into(),
-        s[0],
-        ns1,
-        "m01",
-    );
-    let m10 = gate2(
-        &mut builder,
-        CellKind::And2,
-        "decand10".into(),
-        ns0,
-        s[1],
-        "m10",
-    );
-    let m11 = gate2(
-        &mut builder,
-        CellKind::And2,
-        "decand11".into(),
-        s[0],
-        s[1],
-        "m11",
-    );
-
-    // Y bus: 4:1 function mux per bit through an OR4.
-    let ymux: Vec<NetId> = (0..8)
-        .map(|i| {
-            let t0 = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("ym0and{i}"),
-                m00,
-                sum[i],
-                &format!("ym0_{i}"),
-            );
-            let t1 = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("ym1and{i}"),
-                m01,
-                g[i],
-                &format!("ym1_{i}"),
-            );
-            let t2 = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("ym2and{i}"),
-                m10,
-                orx[i],
-                &format!("ym2_{i}"),
-            );
-            let t3 = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("ym3and{i}"),
-                m11,
-                p[i],
-                &format!("ym3_{i}"),
-            );
-            let out = builder.add_net(format!("ymux{i}"));
-            builder
-                .add_gate(CellKind::Or4, format!("ymor{i}"), &[t0, t1, t2, t3], out)
-                .expect("mux net must be undriven");
-            out
-        })
-        .collect();
-
-    // Rotate-left stages: by 1 under s4, by 2 under s5.
-    let rotate = |builder: &mut NetlistBuilder,
-                  bus: &[NetId],
-                  select: NetId,
-                  by: usize,
-                  tag: &str|
-     -> Vec<NetId> {
-        let nsel = builder.add_net(format!("n{tag}"));
-        builder
-            .add_gate(CellKind::Inv, format!("inv{tag}"), &[select], nsel)
-            .expect("rotate net must be undriven");
-        (0..8)
-            .map(|i| {
-                let stay = gate2(
-                    builder,
-                    CellKind::And2,
-                    format!("{tag}sand{i}"),
-                    bus[i],
-                    nsel,
-                    &format!("{tag}s{i}"),
-                );
-                let moved = gate2(
-                    builder,
-                    CellKind::And2,
-                    format!("{tag}mand{i}"),
-                    bus[(i + 8 - by) % 8],
-                    select,
-                    &format!("{tag}m{i}"),
-                );
-                gate2(
-                    builder,
-                    CellKind::Or2,
-                    format!("{tag}or{i}"),
-                    stay,
-                    moved,
-                    &format!("{tag}{i}"),
-                )
-            })
-            .collect()
-    };
-    let yr = rotate(&mut builder, &ymux, s[4], 1, "yr");
-    let y = rotate(&mut builder, &yr, s[5], 2, "y");
-
-    // T bus: c + d + cin and c - d (as c + !d + tsel) muxed by tsel.  The
-    // T datapath only publishes its low 8 bits, so the top bit skips the
-    // carry-out gates (no net may float).
-    let ripple_sum = |builder: &mut NetlistBuilder,
-                      x: &[NetId],
-                      yb: &[NetId],
-                      carry0: NetId,
-                      tag: &str|
-     -> Vec<NetId> {
-        let mut carry = carry0;
-        (0..8)
-            .map(|i| {
-                let pp = gate2(
-                    builder,
-                    CellKind::Xor2,
-                    format!("{tag}pxor{i}"),
-                    x[i],
-                    yb[i],
-                    &format!("{tag}p{i}"),
-                );
-                let out = gate2(
-                    builder,
-                    CellKind::Xor2,
-                    format!("{tag}sxor{i}"),
-                    pp,
-                    carry,
-                    &format!("{tag}s{i}"),
-                );
-                if i < 7 {
-                    let gg = gate2(
-                        builder,
-                        CellKind::And2,
-                        format!("{tag}gand{i}"),
-                        x[i],
-                        yb[i],
-                        &format!("{tag}g{i}"),
-                    );
-                    let t = gate2(
-                        builder,
-                        CellKind::And2,
-                        format!("{tag}tand{i}"),
-                        pp,
-                        carry,
-                        &format!("{tag}t{i}"),
-                    );
-                    carry = gate2(
-                        builder,
-                        CellKind::Or2,
-                        format!("{tag}cor{i}"),
-                        gg,
-                        t,
-                        &format!("{tag}c{}", i + 1),
-                    );
-                }
-                out
-            })
-            .collect()
-    };
-    let tsum = ripple_sum(&mut builder, &c, &d, cin, "ta");
-    let nd: Vec<NetId> = (0..8)
-        .map(|i| {
-            let out = builder.add_net(format!("nd{i}"));
-            builder
-                .add_gate(CellKind::Inv, format!("invd{i}"), &[d[i]], out)
-                .expect("complement net must be undriven");
-            out
-        })
-        .collect();
-    let tdiff = ripple_sum(&mut builder, &c, &nd, tsel, "tb");
-    let ntsel = builder.add_net("ntsel");
-    builder
-        .add_gate(CellKind::Inv, "invtsel", &[tsel], ntsel)
-        .expect("mux net must be undriven");
-    let tmux: Vec<NetId> = (0..8)
-        .map(|i| {
-            let add = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("tmaand{i}"),
-                tsum[i],
-                ntsel,
-                &format!("tma{i}"),
-            );
-            let sub = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("tmband{i}"),
-                tdiff[i],
-                tsel,
-                &format!("tmb{i}"),
-            );
-            gate2(
-                &mut builder,
-                CellKind::Or2,
-                format!("tmor{i}"),
-                add,
-                sub,
-                &format!("tmux{i}"),
-            )
-        })
-        .collect();
-    let tout: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Xor2,
-                format!("tpxor{i}"),
-                tmux[i],
-                s[2],
-                &format!("t{i}"),
-            )
-        })
-        .collect();
-
-    // Comparator: y == tmux, folded through AND4s.
-    let eq: Vec<NetId> = (0..8)
-        .map(|i| {
-            gate2(
-                &mut builder,
-                CellKind::Xnor2,
-                format!("eqxnor{i}"),
-                y[i],
-                tmux[i],
-                &format!("eq{i}"),
-            )
-        })
-        .collect();
-    let ae0 = builder.add_net("ae0");
-    builder
-        .add_gate(CellKind::And4, "aeand0", &[eq[0], eq[1], eq[2], eq[3]], ae0)
-        .expect("compare net must be undriven");
-    let ae1 = builder.add_net("ae1");
-    builder
-        .add_gate(CellKind::And4, "aeand1", &[eq[4], eq[5], eq[6], eq[7]], ae1)
-        .expect("compare net must be undriven");
-    let alleq = gate2(
-        &mut builder,
-        CellKind::And2,
-        "aeand".into(),
-        ae0,
-        ae1,
-        "alleq",
-    );
-
-    // U bus: pass y through when mpass or the comparator agrees, else the
-    // constant bus k; s3 inverts.
-    let selu = gate2(
-        &mut builder,
-        CellKind::Or2,
-        "seluor".into(),
-        mpass,
-        alleq,
-        "selu",
-    );
-    let nselu = builder.add_net("nselu");
-    builder
-        .add_gate(CellKind::Inv, "invselu", &[selu], nselu)
-        .expect("mux net must be undriven");
-    let u: Vec<NetId> = (0..8)
-        .map(|i| {
-            let pass = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("upand{i}"),
-                y[i],
-                selu,
-                &format!("up{i}"),
-            );
-            let konst = gate2(
-                &mut builder,
-                CellKind::And2,
-                format!("ukand{i}"),
-                k[i],
-                nselu,
-                &format!("uk{i}"),
-            );
-            let merged = gate2(
-                &mut builder,
-                CellKind::Or2,
-                format!("umor{i}"),
-                pass,
-                konst,
-                &format!("um{i}"),
-            );
-            gate2(
-                &mut builder,
-                CellKind::Xor2,
-                format!("upxor{i}"),
-                merged,
-                s[3],
-                &format!("u{i}"),
-            )
-        })
-        .collect();
-
-    // Flags: zero over all three buses (NOR4 rank), carry-out polarity.
-    let zero_fold = |builder: &mut NetlistBuilder, bus: &[NetId], tag: &str| -> NetId {
-        let z0 = builder.add_net(format!("{tag}0"));
-        builder
-            .add_gate(
-                CellKind::Nor4,
-                format!("{tag}nor0"),
-                &[bus[0], bus[1], bus[2], bus[3]],
-                z0,
-            )
-            .expect("flag net must be undriven");
-        let z1 = builder.add_net(format!("{tag}1"));
-        builder
-            .add_gate(
-                CellKind::Nor4,
-                format!("{tag}nor1"),
-                &[bus[4], bus[5], bus[6], bus[7]],
-                z1,
-            )
-            .expect("flag net must be undriven");
-        gate2(builder, CellKind::And2, format!("{tag}and"), z0, z1, tag)
-    };
-    let zy = zero_fold(&mut builder, &y, "zy");
-    let zt = zero_fold(&mut builder, &tout, "zt");
-    let zu = zero_fold(&mut builder, &u, "zu");
-    let zraw = builder.add_net("zraw");
-    builder
-        .add_gate(CellKind::And3, "zand", &[zy, zt, zu], zraw)
-        .expect("flag net must be undriven");
-    let zero = gate2(
-        &mut builder,
-        CellKind::Xor2,
-        "zpxor".into(),
-        zraw,
-        s[7],
-        "zero",
-    );
-    let cout = gate2(
-        &mut builder,
-        CellKind::Xor2,
-        "cpxor".into(),
-        cout_carry,
-        s[6],
-        "cout",
-    );
-
-    for &net in y.iter().chain(&tout).chain(&u) {
-        builder.mark_output(net);
-    }
-    builder.mark_output(cout);
-    builder.mark_output(zero);
-    builder
-        .build()
-        .expect("c880 reconstruction is a valid netlist")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval;
     use crate::levelize;
-    use crate::writer;
-    use halotis_core::LogicLevel;
+    use halotis_core::{LogicLevel, NetId};
 
     use crate::generators::random::SplitMix64;
 
@@ -932,7 +125,18 @@ mod tests {
             .collect()
     }
 
-    /// The c432 reference: priority resolution over three enabled buses.
+    /// The c432 reference: a 27-channel interrupt controller, the spec
+    /// `circuits/c432.net` implements.
+    ///
+    /// The 27 request lines arrive as three 9-bit buses `a`, `b`, `c` (bus `a`
+    /// has the highest priority, `c` the lowest) gated by a 9-bit enable bus
+    /// `e`.  Outputs:
+    ///
+    /// * `pa` — some enabled channel on bus `a` requests,
+    /// * `pb` — no `a` request, but some enabled `b` channel requests,
+    /// * `pc` — no `a`/`b` request, but some enabled `c` channel requests,
+    /// * `chan3..chan0` — the 4-bit index (1-based, 0 = idle) of the
+    ///   highest-priority requesting channel within the winning bus.
     fn c432_reference(a: u16, b: u16, c: u16, e: u16) -> (bool, bool, bool, u8) {
         let reqa = a & e;
         let reqb = b & e;
@@ -949,26 +153,6 @@ mod tests {
             sel.trailing_zeros() as u8 + 1
         };
         (pa, pb, pc, chan)
-    }
-
-    #[test]
-    fn committed_c432_matches_its_reconstruction() {
-        assert_eq!(
-            C432_TEXT,
-            writer::to_text(&reconstruct_c432()),
-            "circuits/c432.net is stale; regenerate with \
-             `cargo test -p halotis_netlist --lib -- --ignored regenerate`"
-        );
-    }
-
-    #[test]
-    fn committed_c880_matches_its_reconstruction() {
-        assert_eq!(
-            C880_TEXT,
-            writer::to_text(&reconstruct_c880()),
-            "circuits/c880.net is stale; regenerate with \
-             `cargo test -p halotis_netlist --lib -- --ignored regenerate`"
-        );
     }
 
     #[test]
@@ -1015,7 +199,23 @@ mod tests {
         }
     }
 
-    /// The c880 reference ALU (see [`reconstruct_c880`] docs for the spec).
+    /// The c880 reference: an 8-bit ALU, the spec `circuits/c880.net`
+    /// implements.
+    ///
+    /// Buses (all LSB-first): operands `a`, `b` (via enable mask `e` and
+    /// conditional invert `minv`), second datapath operands `c`, `d`, constant
+    /// bus `k`, function-select bus `s`, plus `cin`, `mpass` and `tsel`.
+    ///
+    /// * main adder: `am = a · e`, `bx = b ^ minv`; `sum = am + bx + cin`
+    ///   through a generate/propagate carry chain with a (redundant) AND4
+    ///   group-propagate skip on the carry-out,
+    /// * `y` bus: `s1 s0` select sum / AND / OR / XOR of `am`,`bx`; `s4`/`s5`
+    ///   rotate the result left by 1 and 2,
+    /// * `t` bus: `tsel` selects `c + d + cin` or `c - d`; `s2` inverts,
+    /// * `u` bus: `y` when `mpass` or `y == tmux`, else the constant bus `k`;
+    ///   `s3` inverts,
+    /// * flags: `cout` (adder carry, `s6` inverts) and `zero`
+    ///   (`y`, `t`, `u` all zero, `s7` inverts).
     #[allow(clippy::too_many_arguments)]
     fn c880_reference(
         a: u64,
@@ -1131,16 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn committed_s27_matches_its_reconstruction() {
-        assert_eq!(
-            S27_TEXT,
-            writer::to_text(&reconstruct_s27()),
-            "circuits/s27.net is stale; regenerate with \
-             `cargo test -p halotis_netlist --lib -- --ignored regenerate`"
-        );
-    }
-
-    #[test]
     fn s27_has_the_original_structure() {
         let s27 = s27();
         assert_eq!(s27.primary_inputs().len(), 5);
@@ -1188,30 +378,5 @@ mod tests {
         assert!(levelize::levelize(&c880).unwrap().depth() >= 20);
         assert!(c432.gate_count() >= 120);
         assert!(c880.gate_count() >= 300);
-    }
-
-    /// Regenerates the committed netlist files from the reconstruction
-    /// functions.  Run with:
-    /// `cargo test -p halotis_netlist --lib -- --ignored regenerate`
-    #[test]
-    #[ignore = "writes circuits/*.net; run explicitly to regenerate"]
-    fn regenerate_committed_netlists() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/circuits");
-        std::fs::create_dir_all(dir).expect("circuits directory");
-        std::fs::write(
-            format!("{dir}/c432.net"),
-            writer::to_text(&reconstruct_c432()),
-        )
-        .expect("write c432.net");
-        std::fs::write(
-            format!("{dir}/c880.net"),
-            writer::to_text(&reconstruct_c880()),
-        )
-        .expect("write c880.net");
-        std::fs::write(
-            format!("{dir}/s27.net"),
-            writer::to_text(&reconstruct_s27()),
-        )
-        .expect("write s27.net");
     }
 }

@@ -16,7 +16,8 @@
 //!   round-trip **identities** (see `FORMATS.md` at the repository root),
 //! * [`graph`] — a petgraph-style adjacency view (node/edge iterators and a
 //!   CSR export) for graph algorithms over the circuit,
-//! * [`edit`] — an ECO-style mutation session with invertible edit logs,
+//! * [`edit`] — an ECO-style mutation session whose edit log names the
+//!   stale gates and nets, so compiled tables can be patched incrementally,
 //! * [`generators`] — the circuits used by the paper's experiments
 //!   (inverter chains, the Fig. 1 threshold circuit, ripple-carry adders,
 //!   the Fig. 5 array multiplier) plus random logic for scaling studies.
@@ -40,7 +41,7 @@ pub mod verilog;
 pub mod writer;
 
 pub use cell::CellKind;
-pub use edit::{EditLog, EditOp, EditScript, EditSession, InvertError, UndoStep};
+pub use edit::{EditLog, EditOp, EditSession};
 pub use library::{CellTiming, Library, PinSpec};
 pub use netlist::{
     is_primary_input_net, Gate, Net, NetDriver, Netlist, NetlistBuilder, NetlistError,

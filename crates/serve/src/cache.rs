@@ -9,10 +9,12 @@
 //! and one comparison, without parsing; every other load (Verilog, or a
 //! non-canonical `.net` spelling) takes the parse path to the same key.
 //!
-//! Entries hold a **pristine** [`CompiledCircuit`] plus an
-//! optional **overlay**: a clone carrying outstanding `edit` scripts, with
-//! an inverse [`EditScript`] stack ([`halotis_netlist::EditLog::invert`]) so `revert` can
-//! walk edits back one at a time without recompiling.
+//! Entries hold a **pristine** [`CompiledCircuit`] plus an optional
+//! **overlay**: the outstanding `edit` scripts and a clone of the pristine
+//! circuit with them applied.  The overlay is a function of the pristine
+//! circuit and those scripts, so `revert` drops the newest script and
+//! rebuilds the overlay by replaying the rest on a fresh clone of the
+//! pristine circuit; its cost grows with the number of edits outstanding.
 //!
 //! Eviction is LRU over a monotone touch tick, bounded by a fixed capacity.
 //! Evicting an entry that is mid-simulation is safe: requests hold an
@@ -23,9 +25,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use halotis_netlist::{
-    parser, technology, verilog, writer, EditScript, Library, Netlist, NetlistError,
-};
+use halotis_netlist::{parser, technology, verilog, writer, Library, Netlist, NetlistError};
 use halotis_sim::CompiledCircuit;
 
 use crate::protocol::{EditCommand, ErrorCode, NetlistFormat, ProtocolError};
@@ -60,13 +60,11 @@ fn cache_key(canonical: &str) -> String {
 /// Outstanding what-if edits on top of a pristine circuit.
 #[derive(Debug)]
 pub struct Overlay {
-    /// The edited circuit (a clone of the pristine one, mutated in place).
+    /// The edited circuit: a clone of the pristine one with every script
+    /// applied, in order.
     pub circuit: CompiledCircuit<'static>,
-    /// Inverse scripts, one per outstanding `edit`, newest last.
-    pub revert_stack: Vec<EditScript>,
-    /// Set when some edit lost invertibility (a renumbering removal); the
-    /// only revert left is a full reset to pristine.
-    pub non_invertible: bool,
+    /// The commands of each outstanding `edit`, oldest first.
+    pub scripts: Vec<Vec<EditCommand>>,
 }
 
 /// The mutable half of a cache entry, behind the entry's [`RwLock`].
@@ -97,107 +95,46 @@ impl CircuitState {
         commands: &[EditCommand],
     ) -> Result<EditReport, ProtocolError> {
         let mut circuit = self.active().clone();
-        let mut failure: Option<ProtocolError> = None;
-        let result = circuit.edit(|session| {
-            for command in commands {
-                if let Some(error) = apply_command(session, command) {
-                    return match error {
-                        CommandError::Netlist(err) => Err(err),
-                        CommandError::Protocol(err) => {
-                            failure = Some(err);
-                            // Sentinel to abort the session; the clone is
-                            // discarded below, so it never escapes.
-                            Err(NetlistError::DuplicateNet {
-                                name: String::new(),
-                            })
-                        }
-                    };
-                }
-            }
-            Ok(())
-        });
-        let log = match result {
-            Ok(log) => log,
-            Err(err) => {
-                return Err(failure.unwrap_or_else(|| {
-                    ProtocolError::new(ErrorCode::NetlistError, err.to_string())
-                }))
-            }
-        };
-
-        let (mut revert_stack, was_non_invertible) = match self.overlay.take() {
-            Some(overlay) => (overlay.revert_stack, overlay.non_invertible),
-            None => (Vec::new(), false),
-        };
-        let non_invertible = was_non_invertible || !log.is_invertible();
-        if non_invertible {
-            // Stepwise history is no longer replayable; only a reset remains.
-            revert_stack.clear();
-        } else {
-            revert_stack.push(log.invert().expect("invertible log must invert"));
-        }
+        let edits = apply_script(&mut circuit, commands)?;
+        let mut scripts = self
+            .overlay
+            .take()
+            .map_or_else(Vec::new, |overlay| overlay.scripts);
+        scripts.push(commands.to_vec());
         let report = EditReport {
-            edits: log.edits(),
-            revert_depth: revert_stack.len(),
-            invertible: !non_invertible,
+            edits,
+            revert_depth: scripts.len(),
         };
-        self.overlay = Some(Overlay {
-            circuit,
-            revert_stack,
-            non_invertible,
-        });
+        self.overlay = Some(Overlay { circuit, scripts });
         Ok(report)
     }
 
-    /// Undoes the most recent outstanding edit.  Returns how the revert was
-    /// performed: `"inverse"` (one script replayed backwards) or `"reset"`
-    /// (overlay dropped wholesale, because invertibility was lost).
+    /// Undoes the most recent outstanding edit by rebuilding the overlay
+    /// from the pristine circuit: the remaining scripts are replayed, one
+    /// session each as [`apply_commands`](Self::apply_commands) ran them,
+    /// on a clone of `pristine`.  With none remaining the overlay is
+    /// dropped, so the pristine tables serve future requests.  If a replay
+    /// fails the state is left unchanged.
     pub fn revert(&mut self) -> Result<RevertReport, ProtocolError> {
-        let Some(mut overlay) = self.overlay.take() else {
+        let Some(overlay) = &self.overlay else {
             return Err(ProtocolError::new(
                 ErrorCode::NothingToRevert,
                 "no edits are outstanding on this circuit",
             ));
         };
-        if overlay.non_invertible {
-            // Dropping the overlay *is* the revert: the pristine circuit
-            // becomes active again.
-            return Ok(RevertReport {
-                via: "reset",
-                revert_depth: 0,
-            });
+        let kept = &overlay.scripts[..overlay.scripts.len() - 1];
+        if kept.is_empty() {
+            self.overlay = None;
+            return Ok(RevertReport { revert_depth: 0 });
         }
-        let script = overlay
-            .revert_stack
-            .pop()
-            .expect("invertible overlay keeps one script per edit");
-        if overlay
-            .circuit
-            .edit(|session| script.apply(session))
-            .is_err()
-        {
-            // An inverse script failing means the overlay is corrupt; fall
-            // back to the reset path rather than serving a stale circuit.
-            return Ok(RevertReport {
-                via: "reset",
-                revert_depth: 0,
-            });
+        let mut circuit = self.pristine.clone();
+        for script in kept {
+            apply_script(&mut circuit, script)?;
         }
-        let revert_depth = overlay.revert_stack.len();
-        if revert_depth > 0 {
-            self.overlay = Some(overlay);
-            Ok(RevertReport {
-                via: "inverse",
-                revert_depth,
-            })
-        } else {
-            // Fully unwound: drop the overlay so the pristine tables (not a
-            // behaviourally-identical edited clone) serve future requests.
-            Ok(RevertReport {
-                via: "inverse",
-                revert_depth: 0,
-            })
-        }
+        let scripts = kept.to_vec();
+        let revert_depth = scripts.len();
+        self.overlay = Some(Overlay { circuit, scripts });
+        Ok(RevertReport { revert_depth })
     }
 }
 
@@ -206,19 +143,50 @@ impl CircuitState {
 pub struct EditReport {
     /// Mutating calls the session performed.
     pub edits: usize,
-    /// Outstanding edits that can still be reverted stepwise.
+    /// Outstanding edits, this one included.
     pub revert_depth: usize,
-    /// Whether stepwise revert is still available.
-    pub invertible: bool,
 }
 
 /// What a `revert` request reports back.
 #[derive(Clone, Copy, Debug)]
 pub struct RevertReport {
-    /// `"inverse"` or `"reset"`.
-    pub via: &'static str,
     /// Outstanding edits remaining after this revert.
     pub revert_depth: usize,
+}
+
+/// Runs one edit request's commands on `circuit` inside one session and
+/// returns the number of mutating calls.  On failure `circuit` may be half
+/// edited; callers apply scripts to a clone and discard it on error.
+fn apply_script(
+    circuit: &mut CompiledCircuit<'static>,
+    commands: &[EditCommand],
+) -> Result<usize, ProtocolError> {
+    let mut failure: Option<ProtocolError> = None;
+    let result = circuit.edit(|session| {
+        for command in commands {
+            if let Some(error) = apply_command(session, command) {
+                return match error {
+                    CommandError::Netlist(err) => Err(err),
+                    CommandError::Protocol(err) => {
+                        failure = Some(err);
+                        // Sentinel to abort the session; the caller discards
+                        // the circuit, so it never escapes.
+                        Err(NetlistError::DuplicateNet {
+                            name: String::new(),
+                        })
+                    }
+                };
+            }
+        }
+        Ok(())
+    });
+    match result {
+        Ok(log) => Ok(log.edits()),
+        Err(err) => {
+            Err(failure
+                .unwrap_or_else(|| ProtocolError::new(ErrorCode::NetlistError, err.to_string())))
+        }
+    }
 }
 
 enum CommandError {
@@ -620,14 +588,12 @@ mod tests {
             .unwrap();
         assert_eq!(edit.edits, 1);
         assert_eq!(edit.revert_depth, 1);
-        assert!(edit.invertible);
         assert_ne!(
             state.active().netlist().gates()[0].kind(),
             state.pristine.netlist().gates()[0].kind()
         );
 
         let revert = state.revert().unwrap();
-        assert_eq!(revert.via, "inverse");
         assert_eq!(revert.revert_depth, 0);
         assert!(state.overlay.is_none());
         assert!(matches!(

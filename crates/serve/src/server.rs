@@ -415,8 +415,8 @@ fn dispatch(
             let outcome = with_entry(shared, &key, |entry| {
                 entry.write_state().apply_commands(&commands).map(|report| {
                     format!(
-                        r#"{{"edits":{},"revert_depth":{},"invertible":{}}}"#,
-                        report.edits, report.revert_depth, report.invertible
+                        r#"{{"edits":{},"revert_depth":{}}}"#,
+                        report.edits, report.revert_depth
                     )
                 })
             });
@@ -425,13 +425,10 @@ fn dispatch(
         }
         Request::Revert { key } => {
             let outcome = with_entry(shared, &key, |entry| {
-                entry.write_state().revert().map(|report| {
-                    format!(
-                        r#"{{"via":{},"revert_depth":{}}}"#,
-                        json::string(report.via),
-                        report.revert_depth
-                    )
-                })
+                entry
+                    .write_state()
+                    .revert()
+                    .map(|report| format!(r#"{{"revert_depth":{}}}"#, report.revert_depth))
             });
             send_result(shared, reply, id, outcome);
             true

@@ -554,10 +554,7 @@ impl<'a> CompiledCircuit<'a> {
                     // gate_outputs, fanout windows) are rebuilt in phase 2:
                     // the session marked everything the move touched dirty.
                 }
-                EditOp::NetExposed { name, position } => {
-                    let at = (*position as usize).min(self.output_names.len());
-                    self.output_names.insert(at, name.clone());
-                }
+                EditOp::NetExposed { name } => self.output_names.push(name.clone()),
                 EditOp::NetUnexposed { name } => self.output_names.retain(|n| n != name),
             }
         }

@@ -51,25 +51,6 @@
 //! [`PerCellOverride`](halotis_delay::PerCellOverride) mix, or any custom
 //! [`DelayModel`] implementation alike.
 //!
-//! # Migrating from the enum-only API
-//!
-//! The engine used to branch on a `DelayModelKind` enum and always record
-//! waveforms.  Call sites migrate mechanically:
-//!
-//! * `SimulationConfig::with_model(kind)` →
-//!   `SimulationConfig::default().model(kind)` (the old constructor has
-//!   been removed; `ddm()` / `cdm()` are unchanged),
-//! * assignments `config.model = kind` → `config.model = kind.into()` (the
-//!   field now holds a [`DelayModelHandle`],
-//!   which any `DelayModel` implementation converts into),
-//! * `result.model()` now returns the handle; use
-//!   [`SimulationResult::model_kind`] where the built-in kind was matched
-//!   and [`SimulationResult::model_label`] for report text,
-//! * code that only consumed statistics or counts from a
-//!   [`SimulationResult`] should switch to [`CompiledCircuit::run_stats`],
-//!   an [`ActivityCounter`], or [`BatchRunner::run_observed`] and skip
-//!   waveform retention entirely.
-//!
 //! # Quick start
 //!
 //! ```

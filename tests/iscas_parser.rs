@@ -9,9 +9,8 @@
 //! * simulation fingerprints — the exact engine counters of one small
 //!   seeded run per model column (DDM, CDM, MIX).
 //!
-//! Any intentional change to the committed files (regenerated via
-//! `cargo test -p halotis_netlist --lib -- --ignored regenerate`) must
-//! update these numbers *and* the corpus golden in the same commit.
+//! Any intentional change to the committed files must update these numbers
+//! *and* the corpus golden in the same commit.
 
 use halotis::core::TimeDelta;
 use halotis::corpus::{mixed_model, StimulusSuite};
@@ -171,7 +170,7 @@ fn c880_simulation_fingerprints_are_pinned() {
 
 #[test]
 fn committed_text_round_trips_through_the_parser() {
-    for text in [iscas::C432_TEXT, iscas::C880_TEXT] {
+    for text in [iscas::C432_TEXT, iscas::C880_TEXT, iscas::S27_TEXT] {
         let parsed = parser::parse(text).expect("committed netlist parses");
         let rendered = halotis::netlist::writer::to_text(&parsed);
         assert_eq!(rendered, text, "{}: parse/render round trip", parsed.name());

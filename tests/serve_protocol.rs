@@ -16,7 +16,7 @@ use halotis::serve::client::{
     load_request, revert_request, shutdown_request, simulate_request, stats_request, Client,
     Response,
 };
-use halotis::serve::json::Value;
+use halotis::serve::json::{self, Value};
 use halotis::serve::{start, ServerConfig, ServerHandle};
 
 fn test_config() -> ServerConfig {
@@ -326,7 +326,6 @@ fn edit_and_revert_round_trip_over_the_wire() {
         .unwrap();
     let ok = response.ok().expect("edit succeeded").clone();
     assert_eq!(ok.get("revert_depth").and_then(Value::as_u64), Some(1));
-    assert_eq!(ok.get("invertible").and_then(Value::as_bool), Some(true));
 
     let edited = client
         .call(&simulate_request(6, &key, &exhaustive(), "ddm"))
@@ -336,7 +335,6 @@ fn edit_and_revert_round_trip_over_the_wire() {
     // …and revert restores them bit-exactly.
     let response = client.call(&revert_request(7, &key)).unwrap();
     let ok = response.ok().expect("revert succeeded").clone();
-    assert_eq!(ok.get("via").and_then(Value::as_str), Some("inverse"));
     assert_eq!(ok.get("revert_depth").and_then(Value::as_u64), Some(0));
 
     let restored = client
@@ -346,6 +344,70 @@ fn edit_and_revert_round_trip_over_the_wire() {
 
     let response = client.call(&revert_request(9, &key)).unwrap();
     assert_eq!(response.error_code(), Some("nothing_to_revert"));
+    drop(client);
+    stop(handle);
+}
+
+/// Edit B removes a gate that is not last, which renumbers ids; reverting
+/// it must still undo exactly edit B and keep edit A.
+#[test]
+fn revert_after_a_renumbering_removal_keeps_the_earlier_edit() {
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+    let load = client.call(&load_request(1, &c17_text())).unwrap();
+    let key = load
+        .ok()
+        .and_then(|ok| ok.get("key"))
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let simulate = |client: &mut Client, id: u64| {
+        scenario_payload(
+            &client
+                .call(&simulate_request(id, &key, &exhaustive(), "ddm"))
+                .unwrap(),
+        )
+    };
+    let baseline = simulate(&mut client, 2);
+
+    // Edit A: two dangling inverters, `wb` last in the id space.
+    let response = client
+        .call(&format!(
+            concat!(
+                r#"{{"op":"edit","id":3,"key":"{}","commands":["#,
+                r#"{{"action":"insert","kind":"inv","name":"wa","inputs":["i1"],"output":"wa_out"}},"#,
+                r#"{{"action":"insert","kind":"inv","name":"wb","inputs":["i2"],"output":"wb_out"}}]}}"#
+            ),
+            key
+        ))
+        .unwrap();
+    let depth = response.ok().and_then(|ok| ok.get("revert_depth"));
+    assert_eq!(depth.and_then(Value::as_u64), Some(1));
+    let after_a = simulate(&mut client, 4);
+    assert_ne!(after_a, baseline);
+
+    // Edit B: removing `wa` moves `wb` into its slot.
+    let response = client
+        .call(&format!(
+            r#"{{"op":"edit","id":5,"key":"{key}","commands":[{{"action":"remove","gate":"wa"}}]}}"#
+        ))
+        .unwrap();
+    let depth = response.ok().and_then(|ok| ok.get("revert_depth"));
+    assert_eq!(depth.and_then(Value::as_u64), Some(2));
+
+    let response = client.call(&revert_request(6, &key)).unwrap();
+    assert_eq!(
+        response.ok(),
+        Some(&json::parse(r#"{"revert_depth":1}"#).unwrap())
+    );
+    assert_eq!(simulate(&mut client, 7), after_a);
+
+    let response = client.call(&revert_request(8, &key)).unwrap();
+    assert_eq!(
+        response.ok(),
+        Some(&json::parse(r#"{"revert_depth":0}"#).unwrap())
+    );
+    assert_eq!(simulate(&mut client, 9), baseline);
     drop(client);
     stop(handle);
 }
