@@ -1,5 +1,5 @@
-//! Micro-benchmark of the HALOTIS event queue (design-choice ablation from
-//! `DESIGN.md`): the bucketed time-wheel with serial-bitset lazy
+//! Micro-benchmark of the HALOTIS event queue (a design-choice ablation):
+//! the bucketed time-wheel with serial-bitset lazy
 //! cancellation that implements the Fig. 4 per-input insert/delete rule,
 //! measured against the retired `BinaryHeap` + `HashSet` implementation
 //! (`queue::reference`) on the same streams.
@@ -21,9 +21,8 @@
 //! beyond the wheel's ~134 ns window and the numbers measure the spill
 //! min-heap, not the calendar fast path — expect rough parity with the
 //! reference heap there.  The wheel's advantage shows at the 1000-event
-//! size and in the interleaved push/pop microbench of
-//! `examples/profile_hotloop.rs`, which match how the engine actually
-//! drives the queue (one delay generation of look-ahead).
+//! size, which matches how the engine actually drives the queue (one delay
+//! generation of look-ahead).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halotis::core::{GateId, LogicLevel, PinRef, Time, TimeDelta};

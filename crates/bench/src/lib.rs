@@ -1,9 +1,9 @@
 //! Shared fixtures and workload generators for the HALOTIS benchmark
 //! harness.
 //!
-//! Each Criterion bench regenerates one table or figure of the paper (or an
-//! ablation listed in `DESIGN.md`); this library holds the pieces the
-//! benches share so every target measures exactly the same workloads.
+//! Each Criterion bench regenerates one table or figure of the paper (or a
+//! design-choice ablation); this library holds the pieces the benches share
+//! so every target measures exactly the same workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! Corpus entry definitions and the standard corpus.
 
 use halotis_core::TimeDelta;
-use halotis_delay::{Conventional, Degradation, DelayModelHandle, PerCellOverride};
+use halotis_delay::{Conventional, Degradation, DelayModelHandle, DelayModelKind, PerCellOverride};
 use halotis_netlist::{generators, iscas, CellKind, Library, Netlist};
 use halotis_sim::{Scenario, SimulationConfig};
 
@@ -38,10 +38,48 @@ pub fn mixed_model() -> DelayModelHandle {
     DelayModelHandle::new(mix.labelled("MIX"))
 }
 
+/// A delay-model column: every corpus stimulus runs under all three, and a
+/// daemon `simulate` request names one.  Both take their run configuration
+/// from [`ModelColumn::config`], so a column computes the same numbers in
+/// process and over the wire.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ModelColumn {
+    /// The degradation delay model (the paper's contribution).
+    Ddm,
+    /// The conventional inertial model.
+    Cdm,
+    /// The [`mixed_model`] per-cell override.
+    Mix,
+}
+
+impl ModelColumn {
+    /// Every column, in the order an entry's scenarios list them.
+    pub const ALL: [ModelColumn; 3] = [ModelColumn::Ddm, ModelColumn::Cdm, ModelColumn::Mix];
+
+    /// The spelling in scenario labels and on the wire: `ddm`, `cdm`, `mix`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ModelColumn::Ddm => "ddm",
+            ModelColumn::Cdm => "cdm",
+            ModelColumn::Mix => "mix",
+        }
+    }
+
+    /// The column's run configuration: the default settings under its model.
+    pub fn config(self) -> SimulationConfig {
+        let config = SimulationConfig::default();
+        match self {
+            ModelColumn::Ddm => config.model(DelayModelKind::Degradation),
+            ModelColumn::Cdm => config.model(DelayModelKind::Conventional),
+            ModelColumn::Mix => config.model(mixed_model()),
+        }
+    }
+}
+
 /// One corpus workload: a circuit paired with a stimulus suite.  Every
-/// stimulus the suite produces runs under **three** model columns — DDM,
-/// CDM and the [`mixed_model`] per-cell override — so one entry expands
-/// into `3 × stimuli` scenarios.
+/// stimulus the suite produces runs under the **three** [`ModelColumn`]s —
+/// DDM, CDM and the [`mixed_model`] per-cell override — so one entry
+/// expands into `3 × stimuli` scenarios.
 #[derive(Clone, Debug)]
 pub struct CorpusEntry {
     /// Unique entry name, the first segment of its scenario labels.
@@ -63,23 +101,27 @@ impl CorpusEntry {
     }
 
     /// Expands the entry into its scenario set: every stimulus of the suite
-    /// under all three model columns, labelled `entry/stimulus/model`
+    /// under all three [`ModelColumn`]s, labelled `entry/stimulus/model`
     /// (`.../ddm`, `.../cdm`, `.../mix` adjacent, in that order).
     pub fn scenarios(&self, library: &Library) -> Vec<Scenario> {
-        let mix = mixed_model();
         self.suite
             .stimuli(&self.netlist, library)
             .into_iter()
             .flat_map(|(stimulus_label, stimulus)| {
                 let label = format!("{}/{}", self.name, stimulus_label);
-                let mix_scenario = Scenario::new(
-                    format!("{label}/mix"),
-                    stimulus.clone(),
-                    SimulationConfig::default().model(mix.clone()),
-                );
-                Scenario::both_models(label, stimulus, SimulationConfig::default())
-                    .into_iter()
-                    .chain(std::iter::once(mix_scenario))
+                let scenario = |column: ModelColumn, stimulus| {
+                    Scenario::new(
+                        format!("{label}/{}", column.as_str()),
+                        stimulus,
+                        column.config(),
+                    )
+                };
+                let [ddm, cdm, mix] = ModelColumn::ALL;
+                [
+                    scenario(ddm, stimulus.clone()),
+                    scenario(cdm, stimulus.clone()),
+                    scenario(mix, stimulus),
+                ]
             })
             .collect()
     }

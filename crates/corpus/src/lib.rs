@@ -10,20 +10,25 @@
 //!   [`standard_corpus`]: array and Wallace-tree multipliers,
 //!   ripple/carry-skip/Kogge-Stone adders, parity trees, layered random
 //!   logic, and the ISCAS-85 circuits c17, c432 and c880 (the latter two
-//!   parsed from committed netlist files); every stimulus runs under three
-//!   model columns — DDM, CDM and the [`mixed_model`] per-cell override,
+//!   parsed from committed netlist files); every stimulus runs under the
+//!   three [`ModelColumn`]s — DDM, CDM and the [`mixed_model`] per-cell
+//!   override — whose [`ModelColumn::config`] the daemon's `simulate` uses
+//!   too,
 //! * [`stimuli`] — [`StimulusSuite`]: seeded random vector sequences,
 //!   exhaustive small-input sweeps, and single-input-toggle glitch probes,
 //! * [`observer`] — [`GlitchProfile`] (glitch pulses on the half-swing
-//!   projection) and [`WallClockProbe`] (per-scenario timing), composed
-//!   with the engine's [`ActivityCounter`](halotis_sim::ActivityCounter)
-//!   and [`PowerAccumulator`](halotis_sim::PowerAccumulator),
+//!   projection) and [`WallClockProbe`] (per-scenario timing), and the
+//!   [`ScenarioObserver`] bundle — the engine's
+//!   [`PowerAccumulator`](halotis_sim::PowerAccumulator) plus
+//!   [`GlitchProfile`] — that the corpus runner and the daemon both run on
+//!   every scenario,
 //! * [`runner`] — [`CorpusRunner`]: every entry compiled once and swept
 //!   through [`BatchRunner::run_observed`](halotis_sim::BatchRunner) under
 //!   all three model columns, with zero waveform retention,
 //! * [`stats`] — [`CorpusStats`]: the canonical JSON document
 //!   (`CORPUS_stats.json`) whose non-timing fields are bit-exact
-//!   reproducible — the contract of the `corpus-golden` CI gate.
+//!   reproducible — the contract of the `corpus-golden` CI gate — written
+//!   with the JSON string and float writers the daemon's responses use.
 //!
 //! # Example
 //!
@@ -53,8 +58,8 @@ pub mod runner;
 pub mod stats;
 pub mod stimuli;
 
-pub use entry::{mixed_model, standard_corpus, CorpusEntry};
-pub use observer::{GlitchProfile, WallClockProbe};
+pub use entry::{mixed_model, standard_corpus, CorpusEntry, ModelColumn};
+pub use observer::{GlitchProfile, ScenarioObserver, WallClockProbe};
 pub use runner::{CorpusError, CorpusReport, CorpusRunner, EntryTiming, NetHotspot};
 pub use stats::{CorpusStats, EntryRecord, ScenarioRecord, SCHEMA};
 pub use stimuli::StimulusSuite;

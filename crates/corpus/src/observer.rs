@@ -1,11 +1,19 @@
 //! Corpus-specific [`SimObserver`]s: glitch profiling and wall-clock
-//! probing, both allocation-light and batch-friendly.
+//! probing, both allocation-light and batch-friendly, and the
+//! [`ScenarioObserver`] bundle every scenario runs.
 
 use std::time::{Duration, Instant};
 
 use halotis_core::{LogicLevel, NetId, Time};
-use halotis_sim::{CompiledCircuit, SimObserver, SimulationStats};
+use halotis_sim::{CompiledCircuit, PowerAccumulator, SimObserver, SimulationStats};
 use halotis_waveform::Transition;
+
+/// The observers of one scenario, for the Table 1 columns the engine's own
+/// counters lack: switched-capacitance energy and glitch pulses.  The
+/// [`CorpusRunner`](crate::CorpusRunner) and the simulation daemon both run
+/// exactly this bundle.  Transition activity needs no observer: it is the
+/// engine's `SimulationStats::output_transitions`.
+pub type ScenarioObserver = (PowerAccumulator, GlitchProfile);
 
 /// Counts glitch pulses per net on the half-swing ideal projection.
 ///

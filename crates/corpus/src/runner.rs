@@ -1,25 +1,25 @@
 //! Executes a corpus through the no-waveform observed batch path.
 //!
 //! Every entry compiles once; its scenarios (each stimulus × the three
-//! model columns) run through [`BatchRunner::run_observed`] with a composite
-//! observer — [`ActivityCounter`] + [`PowerAccumulator`] +
-//! [`GlitchProfile`] + [`WallClockProbe`] — so no waveform is ever
-//! allocated, exactly the configuration the paper's Table 1 statistics use.
-//! The per-entry batch can be repeated to collect timing samples for the
+//! [`ModelColumn`](crate::ModelColumn)s) run through
+//! [`BatchRunner::run_observed`] with the [`ScenarioObserver`] bundle the
+//! daemon runs too — [`PowerAccumulator`](halotis_sim::PowerAccumulator) +
+//! [`GlitchProfile`](crate::GlitchProfile) — plus a [`WallClockProbe`], so
+//! no waveform is ever allocated, exactly the configuration the paper's
+//! Table 1 statistics use.  The hotspot ranking folds each scenario's
+//! per-net energy by net index and names the nets once per entry.  The
+//! per-entry batch can be repeated to collect timing samples for the
 //! criterion-style capture the perf gate consumes.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Duration;
 
 use halotis_core::Capacitance;
 use halotis_netlist::technology;
-use halotis_sim::{
-    ActivityCounter, BatchRunner, CompiledCircuit, PowerAccumulator, SimulationError,
-};
+use halotis_sim::{BatchRunner, CompiledCircuit, SimulationError};
 
 use crate::entry::CorpusEntry;
-use crate::observer::{GlitchProfile, WallClockProbe};
+use crate::observer::{ScenarioObserver, WallClockProbe};
 use crate::stats::{CorpusStats, EntryRecord, ScenarioRecord};
 
 /// A corpus scenario failed; the corpus is expected to be fully green, so
@@ -120,12 +120,6 @@ impl CorpusReport {
     }
 }
 
-/// The per-scenario observer bundle of a corpus run.
-type CorpusObserver = (
-    (ActivityCounter, PowerAccumulator),
-    (GlitchProfile, WallClockProbe),
-);
-
 /// Runs corpus entries through the observed batch path.
 #[derive(Clone, Copy, Debug)]
 pub struct CorpusRunner {
@@ -189,21 +183,18 @@ impl CorpusRunner {
             let mut last_report = None;
             for _ in 0..self.repeats() {
                 let report = batch.run_observed(&circuit, &scenarios, |_, _| {
-                    (
-                        (ActivityCounter::new(), PowerAccumulator::new()),
-                        (GlitchProfile::new(), WallClockProbe::new()),
-                    )
+                    (ScenarioObserver::default(), WallClockProbe::new())
                 });
                 samples.push(report.wall_time());
                 last_report = Some(report);
             }
             let report = last_report.expect("at least one repeat ran");
 
-            // Per-net energy, keyed by net name and summed across the
-            // entry's scenarios in scenario order — the float additions
-            // happen in one fixed order, so the totals are bit-reproducible
-            // regardless of worker-thread count.
-            let mut net_energy: BTreeMap<String, NetHotspot> = BTreeMap::new();
+            // Per-net (transitions, joules), indexed by net and summed
+            // across the entry's scenarios in scenario order — the float
+            // additions happen in one fixed order, so the totals are
+            // bit-reproducible regardless of worker-thread count.
+            let mut net_energy = vec![(0usize, 0.0f64); entry.netlist.net_count()];
             let mut records = Vec::with_capacity(scenarios.len());
             for (scenario, outcome) in scenarios.iter().zip(report.outcomes()) {
                 let run_stats = outcome.stats.as_ref().map_err(|source| CorpusError {
@@ -211,23 +202,10 @@ impl CorpusRunner {
                     scenario: Some(outcome.label.clone()),
                     source: source.clone(),
                 })?;
-                let ((activity, power), (glitches, clock)): &CorpusObserver = &outcome.observer;
-                debug_assert_eq!(activity.total_transitions(), run_stats.output_transitions);
-                for net in power.report(&entry.netlist).per_net() {
-                    if net.transitions == 0 {
-                        continue;
-                    }
-                    let slot = net_energy
-                        .entry(net.net.clone())
-                        .or_insert_with(|| NetHotspot {
-                            entry: entry.name.clone(),
-                            net: net.net.clone(),
-                            capacitance: net.capacitance,
-                            transitions: 0,
-                            energy_joules: 0.0,
-                        });
-                    slot.transitions += net.transitions;
-                    slot.energy_joules += net.energy_joules;
+                let ((power, glitches), clock) = &outcome.observer;
+                for (sum, (transitions, joules)) in net_energy.iter_mut().zip(power.per_net()) {
+                    sum.0 += transitions;
+                    sum.1 += joules;
                 }
                 records.push(ScenarioRecord {
                     label: outcome.label.clone(),
@@ -256,7 +234,18 @@ impl CorpusRunner {
                 name: entry.name.clone(),
                 samples,
             });
-            hotspots.extend(net_energy.into_values());
+            let nets = entry.netlist.nets().iter().zip(circuit.net_loads());
+            for ((net, &capacitance), (transitions, energy_joules)) in nets.zip(net_energy) {
+                if transitions > 0 {
+                    hotspots.push(NetHotspot {
+                        entry: entry.name.clone(),
+                        net: net.name().to_string(),
+                        capacitance,
+                        transitions,
+                        energy_joules,
+                    });
+                }
+            }
         }
         hotspots.sort_by(|a: &NetHotspot, b: &NetHotspot| {
             b.energy_joules
@@ -393,6 +382,65 @@ mod tests {
         // top_hotspots clamps like PowerReport::hotspots does.
         assert_eq!(report.top_hotspots(3).len(), 3);
         assert_eq!(report.top_hotspots(usize::MAX).len(), report.hotspots.len());
+    }
+
+    #[test]
+    fn hotspots_equal_a_by_name_fold_of_every_scenario_power_report() {
+        // The oracle folds each scenario's full per-net power report by net
+        // name, in scenario order; the runner folds by net index.  The same
+        // additions happen in the same order, so the energies agree to the
+        // bit.
+        let corpus = standard_corpus();
+        let report = CorpusRunner::new().run(&corpus).unwrap();
+        let library = technology::cmos06();
+        let mut expected = Vec::new();
+        for entry in &corpus {
+            let circuit = CompiledCircuit::compile(&entry.netlist, &library).unwrap();
+            let scenarios = entry.scenarios(&library);
+            let batch = BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| {
+                halotis_sim::PowerAccumulator::new()
+            });
+            let mut by_name: std::collections::BTreeMap<String, NetHotspot> = Default::default();
+            for outcome in batch.outcomes() {
+                for net in outcome.observer.report(&entry.netlist).per_net() {
+                    if net.transitions == 0 {
+                        continue;
+                    }
+                    let slot = by_name
+                        .entry(net.net.clone())
+                        .or_insert_with(|| NetHotspot {
+                            entry: entry.name.clone(),
+                            net: net.net.clone(),
+                            capacitance: net.capacitance,
+                            transitions: 0,
+                            energy_joules: 0.0,
+                        });
+                    slot.transitions += net.transitions;
+                    slot.energy_joules += net.energy_joules;
+                }
+            }
+            expected.extend(by_name.into_values());
+        }
+        expected.sort_by(|a, b| {
+            b.energy_joules
+                .total_cmp(&a.energy_joules)
+                .then_with(|| a.entry.cmp(&b.entry))
+                .then_with(|| a.net.cmp(&b.net))
+        });
+        assert_eq!(report.hotspots.len(), expected.len());
+        for (got, want) in report.hotspots.iter().zip(&expected) {
+            assert_eq!(
+                (&got.entry, &got.net, got.capacitance, got.transitions),
+                (&want.entry, &want.net, want.capacitance, want.transitions)
+            );
+            assert_eq!(
+                got.energy_joules.to_bits(),
+                want.energy_joules.to_bits(),
+                "{}/{}",
+                got.entry,
+                got.net
+            );
+        }
     }
 
     #[test]

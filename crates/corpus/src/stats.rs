@@ -233,8 +233,13 @@ fn write_stats(out: &mut String, indent: &str, stats: &SimulationStats) {
     );
 }
 
-/// JSON string literal with the escapes the corpus's simple labels can need.
-fn json_string(value: &str) -> String {
+/// Renders `value` as a JSON string literal, quotes and escapes included.
+///
+/// This and [`json_f64`] are the workspace's one JSON writer: the daemon
+/// renders its responses with them too (as `halotis_serve::json::string`
+/// and `number`), so a value crosses the wire exactly as the golden
+/// document spells it.
+pub fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
     out.push('"');
     for c in value.chars() {
@@ -254,8 +259,9 @@ fn json_string(value: &str) -> String {
     out
 }
 
-/// Shortest-roundtrip exponent rendering — deterministic across platforms.
-fn json_f64(value: f64) -> String {
+/// Renders an `f64` in shortest-round-trip exponent form (`1.25e-13`),
+/// deterministic across platforms, so parsing it back gives the same bits.
+pub fn json_f64(value: f64) -> String {
     format!("{value:e}")
 }
 

@@ -13,7 +13,7 @@
 //!   dead-band `T0` proportional to the input slew (paper eq. 2–3).
 //!
 //! The exact numbers are documented constants so experiments are
-//! reproducible; see `DESIGN.md` for the substitution rationale.
+//! reproducible.
 
 use halotis_core::{Capacitance, TimeDelta, Voltage};
 use halotis_delay::{DegradationCoeffs, EdgeTiming, PinTiming, PropagationCoeffs, SlewCoeffs};

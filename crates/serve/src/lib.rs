@@ -19,12 +19,16 @@
 //! Two binaries ship from the facade crate: `halotis-serve` (the daemon)
 //! and `halotis-load` (the load generator feeding `BENCH_serve.json`).
 //!
-//! Responses are **bit-identical** to in-process runs: the daemon funnels
-//! every simulation through the same [`CompiledCircuit::run_observed`] path
-//! the corpus runner uses, worker arenas are re-shaped per circuit via
-//! [`CompiledCircuit::adapt_state`] (proven equivalent to fresh arenas),
-//! and floats cross the wire in shortest-round-trip form.
+//! Responses are **bit-identical** to in-process runs: the daemon runs
+//! every simulation through [`CompiledCircuit::run_observed`] under the
+//! corpus's [`ModelColumn::config`] with its [`ScenarioObserver`] bundle,
+//! exactly as the corpus runner does; worker arenas are re-shaped per
+//! circuit via [`CompiledCircuit::adapt_state`] (proven equivalent to fresh
+//! arenas); and floats cross the wire through the corpus golden's own JSON
+//! writer.
 //!
+//! [`ModelColumn::config`]: halotis_corpus::ModelColumn::config
+//! [`ScenarioObserver`]: halotis_corpus::ScenarioObserver
 //! [`CompiledCircuit`]: halotis_sim::CompiledCircuit
 //! [`CompiledCircuit::run_observed`]: halotis_sim::CompiledCircuit::run_observed
 //! [`CompiledCircuit::adapt_state`]: halotis_sim::CompiledCircuit::adapt_state
@@ -45,5 +49,5 @@ pub mod server;
 pub use cache::{CacheEntry, CircuitCache, LoadReport};
 pub use client::{Client, Response};
 pub use loadgen::{LoadOptions, LoadSummary, Target};
-pub use protocol::{ErrorCode, ModelSpec, NetlistFormat, ProtocolError, Request};
+pub use protocol::{ErrorCode, NetlistFormat, ProtocolError, Request};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use halotis_corpus::{standard_corpus, CorpusEntry};
+use halotis_corpus::{standard_corpus, CorpusEntry, ModelColumn};
 use halotis_netlist::writer;
 
 use crate::client::{load_request, simulate_request, Client, Response};
@@ -75,9 +75,6 @@ pub struct LoadSummary {
     pub simulate_latencies: Vec<Duration>,
 }
 
-/// The three model columns every corpus entry replays under.
-pub const MODEL_COLUMNS: [&str; 3] = ["ddm", "cdm", "mix"];
-
 fn call_with_busy_retry(
     client: &mut Client,
     frame: &str,
@@ -133,12 +130,12 @@ fn replay_corpus(
     for _ in 0..repeats.max(1) {
         for entry in corpus {
             let mut key = load_entry(&mut client, &mut next_id, &mut summary, entry)?;
-            for model in MODEL_COLUMNS {
+            for model in ModelColumn::ALL {
                 // Concurrent clients share one LRU cache, so a key can be
                 // evicted between this client's load and simulate — the
                 // protocol answers `unknown_key` and the client re-loads.
                 loop {
-                    let frame = simulate_request(next_id, &key, &entry.suite, model);
+                    let frame = simulate_request(next_id, &key, &entry.suite, model.as_str());
                     next_id += 1;
                     let started = Instant::now();
                     let response =
@@ -326,8 +323,8 @@ pub fn check_entries_against_golden(
             .and_then(Value::as_str)
             .ok_or_else(|| format!("load response for {} carried no key", entry.name))?
             .to_string();
-        for model in MODEL_COLUMNS {
-            let frame = simulate_request(next_id, &key, &entry.suite, model);
+        for model in ModelColumn::ALL {
+            let frame = simulate_request(next_id, &key, &entry.suite, model.as_str());
             next_id += 1;
             let response = call_with_busy_retry(&mut client, &frame, &mut busy_retries)?;
             let scenarios = response
@@ -340,7 +337,7 @@ pub fn check_entries_against_golden(
                     .get("stimulus")
                     .and_then(Value::as_str)
                     .ok_or("scenario row without stimulus label")?;
-                let label = format!("{}/{stimulus}/{model}", entry.name);
+                let label = format!("{}/{stimulus}/{}", entry.name, model.as_str());
                 let golden_row = expected
                     .get(&label)
                     .ok_or_else(|| format!("{label}: not present in the golden stats"))?;

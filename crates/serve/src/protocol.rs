@@ -8,7 +8,7 @@
 //! spec and the code cannot drift apart silently.
 
 use halotis_core::TimeDelta;
-use halotis_corpus::StimulusSuite;
+use halotis_corpus::{ModelColumn, StimulusSuite};
 use halotis_netlist::CellKind;
 
 use crate::json::{self, Value};
@@ -101,40 +101,6 @@ impl std::fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
-
-/// Which delay-model column a simulation runs under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelSpec {
-    /// The degradation delay model (the paper's contribution).
-    Ddm,
-    /// The conventional inertial model.
-    Cdm,
-    /// The corpus's per-cell mixed column ([`halotis_corpus::mixed_model`]).
-    Mix,
-}
-
-impl ModelSpec {
-    /// The wire spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ModelSpec::Ddm => "ddm",
-            ModelSpec::Cdm => "cdm",
-            ModelSpec::Mix => "mix",
-        }
-    }
-
-    fn parse(text: &str) -> Result<Self, ProtocolError> {
-        match text {
-            "ddm" => Ok(ModelSpec::Ddm),
-            "cdm" => Ok(ModelSpec::Cdm),
-            "mix" => Ok(ModelSpec::Mix),
-            other => Err(ProtocolError::new(
-                ErrorCode::BadRequest,
-                format!("unknown model {other:?} (expected ddm, cdm or mix)"),
-            )),
-        }
-    }
-}
 
 /// Which observer columns a simulate response should include.  Statistics
 /// are always returned; the flags gate the derived columns.
@@ -250,7 +216,7 @@ pub enum Request {
         /// The stimulus recipe.
         suite: StimulusSuite,
         /// The delay-model column.
-        model: ModelSpec,
+        model: ModelColumn,
         /// Which observer columns to return.
         observers: ObserverSelection,
     },
@@ -375,6 +341,18 @@ pub fn render_suite(suite: &StimulusSuite) -> String {
             skew.as_fs()
         ),
     }
+}
+
+fn parse_model(text: &str) -> Result<ModelColumn, ProtocolError> {
+    ModelColumn::ALL
+        .into_iter()
+        .find(|model| model.as_str() == text)
+        .ok_or_else(|| {
+            ProtocolError::new(
+                ErrorCode::BadRequest,
+                format!("unknown model {text:?} (expected ddm, cdm or mix)"),
+            )
+        })
 }
 
 fn parse_cell_kind(text: &str) -> Result<CellKind, ProtocolError> {
@@ -515,7 +493,7 @@ fn parse_request_doc(doc: &Value) -> Result<Request, ProtocolError> {
         "simulate" => Ok(Request::Simulate {
             key: require_str(doc, "key")?.to_string(),
             suite: parse_suite(require(doc, "suite")?)?,
-            model: ModelSpec::parse(require_str(doc, "model")?)?,
+            model: parse_model(require_str(doc, "model")?)?,
             observers: parse_observers(doc)?,
         }),
         "edit" => {
@@ -585,7 +563,7 @@ mod tests {
                 observers,
             } => {
                 assert_eq!(key, "c-1234");
-                assert_eq!(model, ModelSpec::Mix);
+                assert_eq!(model, ModelColumn::Mix);
                 assert!(!observers.activity && observers.power && !observers.glitches);
                 match suite {
                     StimulusSuite::RandomVectors {
@@ -662,6 +640,14 @@ mod tests {
         let (id, request) = parse_request(br#"{"op":"warp","id":4}"#);
         assert_eq!(id, Some(4));
         assert_eq!(request.unwrap_err().code, ErrorCode::UnknownOp);
+
+        let (id, request) = parse_request(
+            br#"{"op":"simulate","id":5,"key":"k","model":"ddx","suite":{"kind":"exhaustive","period_fs":1}}"#,
+        );
+        assert_eq!(id, Some(5));
+        let err = request.unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadRequest);
+        assert!(err.message.contains("\"ddx\""), "{}", err.message);
 
         let (id, request) = parse_request(b"\xff\xfe");
         assert_eq!(id, None);

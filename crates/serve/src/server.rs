@@ -27,16 +27,15 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use halotis_corpus::{mixed_model, GlitchProfile, StimulusSuite};
-use halotis_delay::DelayModelKind;
-use halotis_sim::{ActivityCounter, PowerAccumulator, SimulationConfig};
+use halotis_core::Time;
+use halotis_corpus::{ModelColumn, ScenarioObserver, StimulusSuite};
+use halotis_sim::SimulationConfig;
 
 use crate::cache::{self, CacheEntry, CircuitCache};
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::json;
 use crate::protocol::{
-    parse_request, render_error, render_ok, ErrorCode, ModelSpec, ObserverSelection, ProtocolError,
-    Request,
+    parse_request, render_error, render_ok, ErrorCode, ObserverSelection, ProtocolError, Request,
 };
 use crate::scheduler::{Scheduler, SubmitError};
 
@@ -522,7 +521,7 @@ fn submit_simulate(
     id: u64,
     key: String,
     suite: StimulusSuite,
-    model: ModelSpec,
+    model: ModelColumn,
     observers: ObserverSelection,
 ) {
     let entry = match shared.cache.get(&key) {
@@ -540,7 +539,8 @@ fn submit_simulate(
 
     // The suite generators assert their input-count contracts; violating
     // them from the wire must be a structured error, not a worker panic.
-    if let Some(error) = validate_suite(&entry, &suite) {
+    let config = model.config();
+    if let Some(error) = validate_suite(&entry, &suite, config.max_events) {
         shared.count_error();
         let _ = reply.send(render_error(Some(id), &error));
         return;
@@ -565,7 +565,7 @@ fn submit_simulate(
     let reply_for_job = reply.clone();
     let job = Box::new(move |arena: &mut crate::scheduler::WorkerArena| {
         let _guard = guard;
-        let outcome = run_simulate(&shared_for_job, arena, &entry, &suite, model, observers);
+        let outcome = run_simulate(arena, &entry, &suite, model, &config, observers);
         send_result(&shared_for_job, &reply_for_job, id, outcome);
     });
     match shared.scheduler.try_submit(job) {
@@ -590,7 +590,11 @@ fn submit_simulate(
     }
 }
 
-fn validate_suite(entry: &CacheEntry, suite: &StimulusSuite) -> Option<ProtocolError> {
+fn validate_suite(
+    entry: &CacheEntry,
+    suite: &StimulusSuite,
+    max_events: usize,
+) -> Option<ProtocolError> {
     let state = entry.read_state();
     let inputs = state.active().netlist().primary_inputs().len();
     if inputs == 0 || inputs > 64 {
@@ -621,25 +625,49 @@ fn validate_suite(entry: &CacheEntry, suite: &StimulusSuite) -> Option<ProtocolE
             ));
         }
     }
+    // A suite long enough to blow the run's event budget or to overflow
+    // the femtosecond clock is refused before it is expanded: expanding it
+    // could exhaust memory, and wrapped times would give wrong answers.
+    // Patterns start at 1 ns, one every `period`, so `count` periods past
+    // 1 ns bound the last stimulus transition.
+    let (transitions, period, count) = match *suite {
+        StimulusSuite::RandomVectors {
+            vectors, period, ..
+        } => (inputs.saturating_mul(vectors), period, vectors),
+        StimulusSuite::Exhaustive { period } => (inputs << inputs, period, 1 << inputs),
+        StimulusSuite::Clocked { cycles, period, .. } => {
+            (cycles.saturating_mul(inputs + 1), period, cycles)
+        }
+        StimulusSuite::ToggleProbes { .. } => return None,
+    };
+    if transitions > max_events {
+        return Some(ProtocolError::new(
+            ErrorCode::BadRequest,
+            format!(
+                "the suite drives {transitions} stimulus transitions, over the run's \
+                 {max_events}-event budget"
+            ),
+        ));
+    }
+    let end_fs = i64::try_from(count)
+        .ok()
+        .and_then(|count| period.as_fs().checked_mul(count))
+        .and_then(|span| span.checked_add(Time::from_ns(1.0).as_fs()));
+    if end_fs.is_none() {
+        return Some(ProtocolError::new(
+            ErrorCode::BadRequest,
+            "the suite's last transition time overflows the femtosecond clock",
+        ));
+    }
     None
 }
 
-fn model_config(model: ModelSpec) -> SimulationConfig {
-    // Must mirror the corpus columns exactly (see `CorpusEntry::scenarios`)
-    // so daemon responses are bit-identical to in-process corpus runs.
-    match model {
-        ModelSpec::Ddm => SimulationConfig::default().model(DelayModelKind::Degradation),
-        ModelSpec::Cdm => SimulationConfig::default().model(DelayModelKind::Conventional),
-        ModelSpec::Mix => SimulationConfig::default().model(mixed_model()),
-    }
-}
-
 fn run_simulate(
-    shared: &Shared,
     arena: &mut crate::scheduler::WorkerArena,
     entry: &CacheEntry,
     suite: &StimulusSuite,
-    model: ModelSpec,
+    model: ModelColumn,
+    config: &SimulationConfig,
     observers: ObserverSelection,
 ) -> Result<String, ProtocolError> {
     let started = Instant::now();
@@ -647,20 +675,16 @@ fn run_simulate(
     // the same circuit; other circuits are unaffected.
     let state = entry.read_state();
     let circuit = state.active();
-    let config = model_config(model);
     let stimuli = suite.stimuli(circuit.netlist(), cache::library());
     let sim_state = arena.adopt(circuit);
 
     let mut rows = String::new();
     for (index, (stimulus_label, stimulus)) in stimuli.iter().enumerate() {
-        let mut observer = (
-            (ActivityCounter::new(), PowerAccumulator::new()),
-            GlitchProfile::new(),
-        );
+        let mut observer = ScenarioObserver::default();
         let stats = circuit
-            .run_observed(sim_state, stimulus, &config, &mut observer)
+            .run_observed(sim_state, stimulus, config, &mut observer)
             .map_err(|err| ProtocolError::new(ErrorCode::SimError, err.to_string()))?;
-        let ((activity, power), glitches) = &observer;
+        let (power, glitches) = &observer;
         if index > 0 {
             rows.push(',');
         }
@@ -681,10 +705,7 @@ fn run_simulate(
             stats.queue_high_water,
         ));
         if observers.activity {
-            rows.push_str(&format!(
-                r#","transitions":{}"#,
-                activity.total_transitions()
-            ));
+            rows.push_str(&format!(r#","transitions":{}"#, stats.output_transitions));
         }
         if observers.power {
             rows.push_str(&format!(
@@ -700,7 +721,6 @@ fn run_simulate(
         }
         rows.push('}');
     }
-    let _ = shared; // counters already tracked by the caller
     Ok(format!(
         r#"{{"key":{},"model":{},"scenarios":[{}],"wall_time_ns":{}}}"#,
         json::string(entry.key()),

@@ -37,16 +37,16 @@
 //!
 //! | Workload | Call | Produces |
 //! |---|---|---|
-//! | One stimulus, full waveforms | [`Simulator::run`] | [`SimulationResult`] |
-//! | Both models on one stimulus | [`Simulator::run_both_models`] / [`CompiledCircuit::run_both_models`] | `(ddm, cdm)` results |
-//! | Many stimuli, sequential, full waveforms | [`CompiledCircuit::run_with`] + reused [`SimState`] | [`SimulationResult`] per run |
-//! | Many stimuli, statistics only | [`CompiledCircuit::run_stats`] | [`SimulationStats`] per run, zero waveform memory |
-//! | Custom retention (counts, VCD, power, your own) | [`CompiledCircuit::run_observed`] | whatever the [`SimObserver`] keeps |
-//! | Many stimuli, parallel, full waveforms | [`BatchRunner::run`] | [`BatchReport`] of results |
-//! | Many stimuli, parallel, streaming observers | [`BatchRunner::run_observed`] | [`ObservedReport`] of observers |
+//! | Stimuli one at a time on a compiled circuit, reusing one [`SimState`] | [`CompiledCircuit::run_observed`] | whatever the [`SimObserver`] keeps |
+//! | Many scenarios across threads | [`BatchRunner::run_observed`] | [`ObservedReport`] of observers |
+//!
+//! The rest are convenience wrappers over these two with a
+//! [`WaveformRecorder`] or no observer: [`Simulator::run`],
+//! [`CompiledCircuit::run_with`], [`CompiledCircuit::run_stats`], the
+//! `run_both_models` pair and [`BatchRunner::run`].
 //!
 //! The delay model is part of the [`SimulationConfig`]
-//! (`config.model(...)`), never of the call: every row above runs under the
+//! (`config.model(...)`), never of the call: every call above runs under the
 //! built-in DDM/CDM kinds, a
 //! [`PerCellOverride`](halotis_delay::PerCellOverride) mix, or any custom
 //! [`DelayModel`] implementation alike.

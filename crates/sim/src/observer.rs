@@ -280,12 +280,17 @@ impl PowerAccumulator {
 
     /// Total dynamic energy accumulated so far, in joules.
     pub fn total_joules(&self) -> f64 {
+        self.per_net().map(|(_, joules)| joules).sum()
+    }
+
+    /// Every net's `(transitions, C · Vdd² · transitions joules)`, in
+    /// net-id order.
+    pub fn per_net(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         let vdd_squared = self.vdd.as_volts() * self.vdd.as_volts();
         self.counts
             .iter()
             .zip(&self.net_loads)
-            .map(|(&count, load)| load.as_farads() * vdd_squared * count as f64)
-            .sum()
+            .map(move |(&count, load)| (count, load.as_farads() * vdd_squared * count as f64))
     }
 
     /// Total number of net transitions that contributed energy.

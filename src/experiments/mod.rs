@@ -1,5 +1,5 @@
 //! Reproductions of every experiment in the paper's evaluation section,
-//! plus the extension studies listed in `DESIGN.md`.
+//! plus the extension study in the last row below.
 //!
 //! | Paper artefact | Function | Notes |
 //! |---|---|---|

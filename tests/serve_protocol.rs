@@ -552,6 +552,64 @@ fn clocked_suites_simulate_sequential_circuits_over_the_wire() {
     stop(handle);
 }
 
+/// Sends `suite` against c17 and expects `bad_request` naming `reason`,
+/// then a second client's ordinary simulate must still be answered.
+fn refused_before_expansion(suite: StimulusSuite, reason: &str) {
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+    let load = client.call(&load_request(1, &c17_text())).unwrap();
+    let key = load
+        .ok()
+        .and_then(|ok| ok.get("key"))
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let response = client
+        .call(&simulate_request(2, &key, &suite, "ddm"))
+        .unwrap();
+    assert_eq!(response.error_code(), Some("bad_request"));
+    let message = response.error_message().unwrap_or_default();
+    assert!(message.contains(reason), "error names the cause: {message}");
+    drop(client);
+
+    let mut second = connect(&addr);
+    let response = second
+        .call(&simulate_request(1, &key, &exhaustive(), "ddm"))
+        .unwrap();
+    assert_eq!(scenario_payload(&response).len(), 1);
+    drop(second);
+    stop(handle);
+}
+
+#[test]
+fn a_suite_over_the_event_budget_is_refused_before_expansion() {
+    // 5 inputs × 2^52 vectors: expanding the patterns aborted the whole
+    // daemon on a failed allocation.  The 1 fs period keeps every time in
+    // range, so only the event budget can refuse it.
+    refused_before_expansion(
+        StimulusSuite::RandomVectors {
+            vectors: 1 << 52,
+            period: TimeDelta::from_fs(1),
+            seed: 1,
+        },
+        "event budget",
+    );
+}
+
+#[test]
+fn a_suite_whose_times_overflow_is_refused_before_expansion() {
+    // 2000 vectors 2^53 − 1 fs apart wrap the i64 femtosecond clock; the
+    // daemon answered ok with rows computed on wrapped times.
+    refused_before_expansion(
+        StimulusSuite::RandomVectors {
+            vectors: 2000,
+            period: TimeDelta::from_fs((1 << 53) - 1),
+            seed: 1,
+        },
+        "overflows",
+    );
+}
+
 #[test]
 fn cyclic_netlists_are_refused_with_a_structured_error() {
     let (handle, addr) = start_daemon(test_config());
