@@ -165,7 +165,7 @@ pub fn load_request(id: u64, netlist_text: &str) -> String {
     )
 }
 
-/// Builds a `simulate` request frame (all observers selected).
+/// Builds a `simulate` request frame.
 pub fn simulate_request(id: u64, key: &str, suite: &StimulusSuite, model: &str) -> String {
     format!(
         r#"{{"op":"simulate","id":{id},"key":{},"model":{},"suite":{}}}"#,

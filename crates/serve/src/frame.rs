@@ -4,9 +4,10 @@
 //! big-endian length followed by that many bytes of UTF-8 JSON.  Framing is
 //! where most of the daemon's robustness lives: the length is validated
 //! against a configurable ceiling *before* any allocation, truncated frames
-//! are distinguished from clean closes, and read timeouts (slow-loris
-//! defence) surface as their own error variant so the server can answer with
-//! a structured `timeout` error before hanging up.
+//! are distinguished from clean closes, and read timeouts surface as their
+//! own error variants, an idle peer apart from one stalled mid-frame (the
+//! slow-loris defence), so the server can answer with a structured `timeout`
+//! error before hanging up.
 
 use std::io::{Read, Write};
 
@@ -24,6 +25,9 @@ pub enum FrameError {
         /// The ceiling it exceeded.
         max: usize,
     },
+    /// The socket read timeout expired before any byte of a frame arrived:
+    /// the peer is idle between frames.
+    Idle,
     /// The socket read timeout expired mid-frame.
     TimedOut,
     /// Any other transport failure.
@@ -37,6 +41,7 @@ impl std::fmt::Display for FrameError {
             FrameError::TooLarge { announced, max } => {
                 write!(f, "frame of {announced} bytes exceeds the {max}-byte limit")
             }
+            FrameError::Idle => write!(f, "timed out waiting for a frame"),
             FrameError::TimedOut => write!(f, "timed out waiting for frame bytes"),
             FrameError::Io(err) => write!(f, "frame transport error: {err}"),
         }
@@ -56,18 +61,21 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Reads one frame body. `Ok(None)` is a clean close (EOF exactly on a frame
-/// boundary); EOF anywhere else is [`FrameError::Truncated`].
+/// boundary); EOF anywhere else is [`FrameError::Truncated`].  A timeout
+/// before the first byte is [`FrameError::Idle`], after it
+/// [`FrameError::TimedOut`].
 pub fn read_frame(reader: &mut impl Read, max_len: usize) -> Result<Option<Vec<u8>>, FrameError> {
     let mut prefix = [0u8; 4];
-    match reader.read(&mut prefix[..])? {
-        0 => return Ok(None),
-        mut got => {
-            while got < 4 {
-                match reader.read(&mut prefix[got..])? {
-                    0 => return Err(FrameError::Truncated),
-                    n => got += n,
-                }
-            }
+    let mut got = match reader.read(&mut prefix[..]).map_err(FrameError::from) {
+        Ok(0) => return Ok(None),
+        Ok(got) => got,
+        Err(FrameError::TimedOut) => return Err(FrameError::Idle),
+        Err(err) => return Err(err),
+    };
+    while got < 4 {
+        match reader.read(&mut prefix[got..])? {
+            0 => return Err(FrameError::Truncated),
+            n => got += n,
         }
     }
     let announced = u32::from_be_bytes(prefix) as u64;
@@ -88,13 +96,17 @@ pub fn read_frame(reader: &mut impl Read, max_len: usize) -> Result<Option<Vec<u
     Ok(Some(body))
 }
 
-/// Writes one frame (prefix + body) and flushes.
+/// Writes one frame (prefix + body) in a single write, and flushes.  Over
+/// TCP a separate write of the prefix would let Nagle's algorithm hold the
+/// body back until the peer acknowledged the prefix.
 pub fn write_frame(writer: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(body.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame body exceeds u32")
     })?;
-    writer.write_all(&len.to_be_bytes())?;
-    writer.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -135,6 +147,35 @@ mod tests {
             read_frame(&mut cursor, 64),
             Err(FrameError::Truncated)
         ));
+    }
+
+    /// Yields `bytes`, then times out as a socket with a read timeout does.
+    struct Stalls(Cursor<Vec<u8>>);
+
+    impl Read for Stalls {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(std::io::ErrorKind::WouldBlock.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_between_frames_is_idle_but_mid_frame_is_timed_out() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"abcdef").unwrap();
+        let mut idle = Stalls(Cursor::new(wire.clone()));
+        assert!(read_frame(&mut idle, 64).unwrap().is_some());
+        assert!(matches!(read_frame(&mut idle, 64), Err(FrameError::Idle)));
+
+        for cut in [2, 6] {
+            let mut stalled = Stalls(Cursor::new(wire[..cut].to_vec()));
+            assert!(matches!(
+                read_frame(&mut stalled, 64),
+                Err(FrameError::TimedOut)
+            ));
+        }
     }
 
     #[test]

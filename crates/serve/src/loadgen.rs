@@ -272,8 +272,8 @@ fn expect_f64(doc: &Value, key: &str, label: &str) -> Result<f64, String> {
 ///
 /// Run this against a 1-worker daemon: the comparison itself needs no
 /// ordering, but a single worker also proves the arena-reuse path (one
-/// [`SimState`](halotis_sim::SimState) hopping across all 22 circuits)
-/// reproduces fresh-arena numbers.
+/// [`SimState`](halotis_sim::SimState) hopping across the 24 entries' 20
+/// distinct circuits) reproduces fresh-arena numbers.
 pub fn check_against_golden(target: &Target, golden_json: &str) -> Result<usize, String> {
     check_entries_against_golden(target, golden_json, None)
 }

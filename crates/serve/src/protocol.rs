@@ -40,7 +40,8 @@ pub enum ErrorCode {
     Busy,
     /// The connection exceeded its in-flight request quota.
     Quota,
-    /// The socket read timeout expired mid-frame (slow-loris defence).
+    /// A read timed out, mid-frame (slow-loris defence) or between frames
+    /// with no `simulate` outstanding.
     Timeout,
     /// A netlist operation (parse or edit) was rejected.
     NetlistError,
@@ -101,28 +102,6 @@ impl std::fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
-
-/// Which observer columns a simulate response should include.  Statistics
-/// are always returned; the flags gate the derived columns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObserverSelection {
-    /// Include per-scenario transition activity totals.
-    pub activity: bool,
-    /// Include the dissipated-energy column.
-    pub power: bool,
-    /// Include the glitch-pulse column.
-    pub glitches: bool,
-}
-
-impl Default for ObserverSelection {
-    fn default() -> Self {
-        ObserverSelection {
-            activity: true,
-            power: true,
-            glitches: true,
-        }
-    }
-}
 
 /// One parsed edit command, referencing circuit objects by *name* (the wire
 /// has no stable ids — names are the only handle a client holds).
@@ -217,8 +196,6 @@ pub enum Request {
         suite: StimulusSuite,
         /// The delay-model column.
         model: ModelColumn,
-        /// Which observer columns to return.
-        observers: ObserverSelection,
     },
     /// Apply a what-if edit script to a cached circuit.
     Edit {
@@ -411,37 +388,6 @@ fn parse_edit_command(doc: &Value) -> Result<EditCommand, ProtocolError> {
     }
 }
 
-fn parse_observers(doc: &Value) -> Result<ObserverSelection, ProtocolError> {
-    let Some(value) = doc.get("observers") else {
-        return Ok(ObserverSelection::default());
-    };
-    let names = value.as_array().ok_or_else(|| {
-        ProtocolError::new(
-            ErrorCode::BadRequest,
-            "field \"observers\" must be an array",
-        )
-    })?;
-    let mut selection = ObserverSelection {
-        activity: false,
-        power: false,
-        glitches: false,
-    };
-    for name in names {
-        match name.as_str() {
-            Some("activity") => selection.activity = true,
-            Some("power") => selection.power = true,
-            Some("glitches") => selection.glitches = true,
-            _ => {
-                return Err(ProtocolError::new(
-                    ErrorCode::BadRequest,
-                    "observers must be \"activity\", \"power\" or \"glitches\"",
-                ))
-            }
-        }
-    }
-    Ok(selection)
-}
-
 /// Parses one frame body into `(request id, request)`.
 ///
 /// The id is extracted first and returned even alongside grammar errors when
@@ -494,7 +440,6 @@ fn parse_request_doc(doc: &Value) -> Result<Request, ProtocolError> {
             key: require_str(doc, "key")?.to_string(),
             suite: parse_suite(require(doc, "suite")?)?,
             model: parse_model(require_str(doc, "model")?)?,
-            observers: parse_observers(doc)?,
         }),
         "edit" => {
             let commands = require(doc, "commands")?
@@ -551,20 +496,13 @@ mod tests {
     #[test]
     fn parses_a_simulate_request() {
         let body = br#"{"op":"simulate","id":7,"key":"c-1234","model":"mix",
-                        "suite":{"kind":"random","vectors":16,"period_fs":5000000,"seed":9},
-                        "observers":["power"]}"#;
+                        "suite":{"kind":"random","vectors":16,"period_fs":5000000,"seed":9}}"#;
         let (id, request) = parse_request(body);
         assert_eq!(id, Some(7));
         match request.unwrap() {
-            Request::Simulate {
-                key,
-                suite,
-                model,
-                observers,
-            } => {
+            Request::Simulate { key, suite, model } => {
                 assert_eq!(key, "c-1234");
                 assert_eq!(model, ModelColumn::Mix);
-                assert!(!observers.activity && observers.power && !observers.glitches);
                 match suite {
                     StimulusSuite::RandomVectors {
                         vectors,

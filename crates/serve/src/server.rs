@@ -1,30 +1,41 @@
 //! The daemon: listeners, per-connection protocol loops, dispatch.
 //!
-//! One thread per connection reads frames and dispatches them; cheap
-//! operations (`load`, `edit`, `revert`, `stats`, `shutdown`) run inline,
-//! while `simulate` is handed to the [`Scheduler`] worker pool and its
-//! response is delivered through the connection's writer thread — so a
-//! client may pipeline requests and receive responses out of order,
-//! matched by `"id"`.
+//! Each connection has one thread, which reads request frames and dispatches
+//! them.  Cheap operations (`load`, `edit`, `revert`, `stats`, `shutdown`)
+//! run inline and that thread writes their answers; `simulate` is handed to
+//! the [`Scheduler`] worker pool, and the worker that runs it writes its own
+//! answer, or leaves it to the thread already writing to that connection.
+//! One whole frame goes out at a time, so a client may pipeline requests and
+//! receive `simulate` answers out of order, matched by `"id"`.
 //!
 //! Robustness invariants enforced here:
 //!
 //! * every failure path answers with a structured error frame (when the
 //!   transport still permits one) and the daemon survives;
-//! * per-connection read timeouts bound slow-loris clients;
+//! * `read_timeout` bounds every read and every turn of writes: a client
+//!   that trickles a frame, or idles with no `simulate` outstanding, gets
+//!   `timeout`, and a connection whose waiting answers cannot all be
+//!   written within that long is closed;
+//! * answers are never queued beyond the socket and the in-flight quota:
+//!   while the connection's thread waits to write, it reads no further
+//!   request, so a client that stops reading stops its own requests, not
+//!   the daemon's memory;
+//! * no worker waits on another thread's writes, so a client that reads
+//!   slowly holds at most one worker, for at most `read_timeout` at a time;
 //! * a per-connection in-flight quota plus the scheduler's bounded queue
 //!   turn overload into explicit `quota` / `busy` errors, never unbounded
 //!   queueing;
 //! * shutdown drains: accepted work completes, new work is refused with
 //!   `shutting_down`.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use halotis_core::Time;
@@ -34,9 +45,7 @@ use halotis_sim::SimulationConfig;
 use crate::cache::{self, CacheEntry, CircuitCache};
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::json;
-use crate::protocol::{
-    parse_request, render_error, render_ok, ErrorCode, ObserverSelection, ProtocolError, Request,
-};
+use crate::protocol::{parse_request, render_error, render_ok, ErrorCode, ProtocolError, Request};
 use crate::scheduler::{Scheduler, SubmitError};
 
 /// Daemon tuning knobs; the defaults suit tests and small deployments.
@@ -57,7 +66,8 @@ pub struct ServerConfig {
     /// Simulations one connection may have in flight (overflow answers
     /// `quota`).
     pub max_inflight: usize,
-    /// Per-connection read timeout (slow-loris bound).
+    /// Per-connection I/O timeout: it bounds each read (the slow-loris
+    /// bound) and each turn of answer writes (a client that stops reading).
     pub read_timeout: Duration,
     /// Replay the standard corpus into the compiled-circuit cache before
     /// accepting connections, so the first `simulate` of a well-known
@@ -93,12 +103,6 @@ struct Shared {
     busy_rejections: AtomicU64,
 }
 
-impl Shared {
-    fn count_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A running daemon.  Dropping the handle does **not** stop it; call
 /// [`wait`](ServerHandle::wait) (after a `shutdown` request or
 /// [`initiate_shutdown`](ServerHandle::initiate_shutdown)) for an orderly
@@ -107,7 +111,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     tcp_addr: Option<SocketAddr>,
     uds_path: Option<PathBuf>,
-    accepters: Vec<std::thread::JoinHandle<()>>,
+    accepters: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -212,20 +216,18 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .transpose()?;
     let mut accepters = Vec::new();
     if let Some(listener) = tcp {
-        let shared = Arc::clone(&shared);
-        accepters.push(
-            std::thread::Builder::new()
-                .name("halotis-accept-tcp".into())
-                .spawn(move || accept_loop_tcp(&listener, &shared))?,
-        );
+        accepters.push(spawn_accept_loop(
+            "halotis-accept-tcp",
+            &shared,
+            move || listener.accept().map(|(stream, _)| stream),
+        )?);
     }
     if let Some(listener) = uds {
-        let shared = Arc::clone(&shared);
-        accepters.push(
-            std::thread::Builder::new()
-                .name("halotis-accept-uds".into())
-                .spawn(move || accept_loop_uds(&listener, &shared))?,
-        );
+        accepters.push(spawn_accept_loop(
+            "halotis-accept-uds",
+            &shared,
+            move || listener.accept().map(|(stream, _)| stream),
+        )?);
     }
     let uds_path = shared.config.uds.clone();
     Ok(ServerHandle {
@@ -238,203 +240,324 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-fn accept_loop_tcp(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_connection_tcp(stream, shared),
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+/// A connected stream socket of either transport.
+trait Socket: Read + Write + Send + 'static {
+    /// Makes the socket blocking with `timeout` on every read and write, and
+    /// returns a second handle to it for the connection's write half.
+    fn prepare(&self, timeout: Duration) -> std::io::Result<Self>
+    where
+        Self: Sized;
+
+    /// Bounds each later write call to `timeout`.
+    fn limit_writes(&self, timeout: Duration) -> std::io::Result<()>;
+
+    /// The most bytes one write call may carry for the timeout to bound the
+    /// whole call.  A TCP write's waits all count against one timeout, but
+    /// a Unix-domain write waits afresh for each buffer of up to 32 KiB.
+    fn max_write(&self) -> usize;
+}
+
+macro_rules! impl_socket {
+    ($($stream:ty => $max_write:expr),*) => {$(
+        impl Socket for $stream {
+            fn prepare(&self, timeout: Duration) -> std::io::Result<Self> {
+                self.set_nonblocking(false)?;
+                self.set_read_timeout(Some(timeout))?;
+                self.set_write_timeout(Some(timeout))?;
+                self.try_clone()
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
 
-fn accept_loop_uds(listener: &UnixListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => spawn_connection_uds(stream, shared),
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+            fn limit_writes(&self, timeout: Duration) -> std::io::Result<()> {
+                self.set_write_timeout(Some(timeout))
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+
+            fn max_write(&self) -> usize {
+                $max_write
+            }
         }
-    }
+    )*};
 }
 
-fn spawn_connection_tcp(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(()) = stream.set_nonblocking(false) else {
-        return;
-    };
-    let Ok(()) = stream.set_read_timeout(Some(shared.config.read_timeout)) else {
-        return;
-    };
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    spawn_connection(stream, writer, shared);
-}
+impl_socket!(TcpStream => usize::MAX, UnixStream => 32 << 10);
 
-fn spawn_connection_uds(stream: UnixStream, shared: &Arc<Shared>) {
-    let Ok(()) = stream.set_nonblocking(false) else {
-        return;
-    };
-    let Ok(()) = stream.set_read_timeout(Some(shared.config.read_timeout)) else {
-        return;
-    };
-    let Ok(writer) = stream.try_clone() else {
-        return;
-    };
-    spawn_connection(stream, writer, shared);
-}
-
-fn spawn_connection<S>(reader: S, writer: S, shared: &Arc<Shared>)
-where
-    S: Read + Write + Send + 'static,
-{
+/// Spawns the thread that polls one non-blocking listener until the daemon
+/// drains, giving each accepted connection its own thread.
+fn spawn_accept_loop<S: Socket>(
+    name: &str,
+    shared: &Arc<Shared>,
+    accept: impl Fn() -> std::io::Result<S> + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
     let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            while !shared.draining.load(Ordering::SeqCst) {
+                match accept() {
+                    Ok(stream) => spawn_connection(stream, &shared),
+                    // Nothing pending (`WouldBlock`), or a transient failure.
+                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                }
+            }
+        })
+}
+
+fn spawn_connection<S: Socket>(stream: S, shared: &Arc<Shared>) {
+    let timeout = shared.config.read_timeout;
+    let Ok(writer) = stream.prepare(timeout) else {
+        return;
+    };
+    let conn = Arc::new(Conn {
+        state: Mutex::new(ConnState {
+            writer: Some(Box::new(writer)),
+            queued: VecDeque::new(),
+            inflight: 0,
+        }),
+        turn_ended: Condvar::new(),
+        timeout,
+        broken: AtomicBool::new(false),
+    });
     shared.connections.fetch_add(1, Ordering::SeqCst);
-    let shared_on_fail = Arc::clone(&shared);
+    let thread_shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name("halotis-conn".into())
         .spawn(move || {
-            serve_connection(reader, writer, &shared);
-            shared.connections.fetch_sub(1, Ordering::SeqCst);
+            serve_connection(stream, &conn, &thread_shared);
+            thread_shared.connections.fetch_sub(1, Ordering::SeqCst);
         });
     if spawned.is_err() {
         // The connection is dropped; the counter must not leak.
-        shared_on_fail.connections.fetch_sub(1, Ordering::SeqCst);
+        shared.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Runs one connection: a writer thread serialises response frames, the
-/// calling thread reads and dispatches requests.
-fn serve_connection<S>(mut reader: S, mut writer: S, shared: &Arc<Shared>)
-where
-    S: Read + Write + Send + 'static,
-{
-    let (reply_tx, reply_rx) = channel::<String>();
-    let writer_thread = std::thread::Builder::new()
-        .name("halotis-conn-writer".into())
-        .spawn(move || {
-            while let Ok(frame) = reply_rx.recv() {
-                if write_frame(&mut writer, frame.as_bytes()).is_err() {
-                    break;
-                }
-            }
-        });
-    let Ok(writer_thread) = writer_thread else {
-        return;
-    };
+/// One connection's write path, shared by its thread (inline answers) and
+/// the workers running its `simulate`s (their own answers).  One thread at a
+/// time takes the socket's write half for a *turn*: it writes its answer and
+/// every answer queued meanwhile, all within one `timeout`, then puts the
+/// half back.  A worker that finds a turn under way queues its answer for
+/// that turn instead of waiting, so no worker waits on another's writes.
+struct Conn {
+    state: Mutex<ConnState>,
+    /// Wakes the connection's thread, waiting to write, when a turn ends.
+    turn_ended: Condvar,
+    /// How long one turn may take: the daemon's `read_timeout`.
+    timeout: Duration,
+    /// A write failed or a turn ran out of time: later answers are dropped,
+    /// and the reader stops at its next frame.
+    broken: AtomicBool,
+}
 
-    let inflight = Arc::new(AtomicUsize::new(0));
-    loop {
-        match read_frame(&mut reader, shared.config.max_frame) {
-            Ok(None) => break,
-            Ok(Some(body)) => {
-                if !dispatch(&body, shared, &reply_tx, &inflight) {
-                    break;
+struct ConnState {
+    /// The socket's write half; `None` during a turn.
+    writer: Option<Box<dyn Socket>>,
+    /// `simulate` answers waiting for a turn.
+    queued: VecDeque<String>,
+    /// `simulate`s admitted whose answers no turn has taken yet: the
+    /// `max_inflight` quota, which so also bounds `queued`.
+    inflight: usize,
+}
+
+impl Conn {
+    /// Locks the state.  No update to it can be left half-done by a panic,
+    /// so a lock poisoned by a panicking job is recovered.
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn broken(&self) -> bool {
+        self.broken.load(Ordering::Relaxed)
+    }
+
+    /// Whether a `simulate` of this connection is still to be answered.
+    fn awaits_answers(&self) -> bool {
+        !self.broken() && self.lock().inflight > 0
+    }
+
+    /// Takes a place in the in-flight quota, if one is free.
+    fn admit(self: &Arc<Self>, max_inflight: usize) -> Option<Slot> {
+        let mut state = self.lock();
+        (state.inflight < max_inflight).then(|| {
+            state.inflight += 1;
+            Slot(Some(Arc::clone(self)))
+        })
+    }
+
+    /// Writes an answer of the connection's own thread, first waiting for a
+    /// worker's turn to end.  Meanwhile the thread reads no request, which
+    /// is the backpressure on a client that stops reading.
+    fn send(&self, frame: &str) {
+        let mut state = self.lock();
+        let writer = loop {
+            match state.writer.take() {
+                Some(writer) => break writer,
+                None => {
+                    state = self
+                        .turn_ended
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
-            Err(FrameError::TimedOut) => {
-                shared.count_error();
-                let error = ProtocolError::new(
-                    ErrorCode::Timeout,
-                    "read timed out mid-frame; closing connection",
-                );
-                let _ = reply_tx.send(render_error(None, &error));
-                break;
-            }
-            Err(FrameError::TooLarge { announced, max }) => {
-                shared.count_error();
-                let error = ProtocolError::new(
-                    ErrorCode::FrameTooLarge,
-                    format!("frame of {announced} bytes exceeds the {max}-byte limit"),
-                );
-                let _ = reply_tx.send(render_error(None, &error));
-                break;
-            }
-            Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break,
+        };
+        drop(state);
+        self.turn(writer, Some(frame));
+    }
+
+    /// Queues a worker's `simulate` answer, and takes a turn to write it
+    /// unless one is under way, which then writes it.
+    fn answer(&self, frame: String) {
+        let writer = {
+            let mut state = self.lock();
+            state.queued.push_back(frame);
+            state.writer.take()
+        };
+        if let Some(writer) = writer {
+            self.turn(writer, None);
         }
     }
-    // In-flight jobs hold their own sender clones, so queued responses for
-    // pipelined requests still flush before the writer exits.
-    drop(reply_tx);
-    let _ = writer_thread.join();
+
+    /// Writes `own`, then each queued answer, freeing its quota place as it
+    /// is taken, and puts the write half back once none is left.
+    fn turn(&self, mut writer: Box<dyn Socket>, own: Option<&str>) {
+        let mut out = Deadline {
+            socket: &mut *writer,
+            ends: Instant::now() + self.timeout,
+            started: false,
+            shortened: false,
+        };
+        if let Some(frame) = own {
+            self.write(&mut out, frame);
+        }
+        loop {
+            let mut state = self.lock();
+            let Some(frame) = state.queued.pop_front() else {
+                if out.shortened && out.socket.limit_writes(self.timeout).is_err() {
+                    self.broken.store(true, Ordering::Relaxed);
+                }
+                state.writer = Some(writer);
+                drop(state);
+                self.turn_ended.notify_one();
+                return;
+            };
+            state.inflight -= 1;
+            drop(state);
+            self.write(&mut out, &frame);
+        }
+    }
+
+    /// Writes one whole frame, unless the connection is already broken.
+    fn write(&self, out: &mut Deadline<'_>, frame: &str) {
+        if !self.broken() && write_frame(out, frame.as_bytes()).is_err() {
+            self.broken.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The writes of one turn.  The socket's write timeout bounds each write
+/// call (of at most [`Socket::max_write`] bytes), so every call after the
+/// turn's first gets only what is left of the turn: partial writes share one
+/// deadline instead of each starting afresh.
+struct Deadline<'a> {
+    socket: &'a mut dyn Socket,
+    ends: Instant,
+    /// A write call was made; later ones shorten the socket's timeout.
+    started: bool,
+    /// The socket's write timeout was shortened and must be restored.
+    shortened: bool,
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.started {
+            let left = self.ends.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            self.socket.limit_writes(left)?;
+            self.shortened = true;
+        }
+        self.started = true;
+        let len = buf.len().min(self.socket.max_write());
+        self.socket.write(&buf[..len])
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.socket.flush()
+    }
+}
+
+/// Runs one connection on the calling thread: reads each request frame and
+/// dispatches it.  Nothing queues this thread's answers: while one waits to
+/// be written, no further request is read, so a client that stops reading
+/// meets socket backpressure, and after `read_timeout` of it the connection
+/// closes.  An idle read times out only once every `simulate` of the
+/// connection has been answered, so a client waiting on one is not cut off.
+fn serve_connection(mut reader: impl Read, conn: &Arc<Conn>, shared: &Arc<Shared>) {
+    let error = loop {
+        match read_frame(&mut reader, shared.config.max_frame) {
+            Ok(Some(body)) => {
+                if !dispatch(&body, shared, conn) || conn.broken() {
+                    return;
+                }
+            }
+            Ok(None) | Err(FrameError::Truncated | FrameError::Io(_)) => return,
+            Err(FrameError::Idle) if conn.awaits_answers() => {}
+            Err(FrameError::Idle | FrameError::TimedOut) => {
+                break ProtocolError::new(ErrorCode::Timeout, "read timed out; closing connection")
+            }
+            Err(err @ FrameError::TooLarge { .. }) => {
+                break ProtocolError::new(ErrorCode::FrameTooLarge, err.to_string())
+            }
+        }
+    };
+    conn.send(&error_frame(shared, None, &error));
 }
 
 /// Handles one request frame. Returns `false` when the connection should
 /// close (after `shutdown`).
-fn dispatch(
-    body: &[u8],
-    shared: &Arc<Shared>,
-    reply: &Sender<String>,
-    inflight: &Arc<AtomicUsize>,
-) -> bool {
+fn dispatch(body: &[u8], shared: &Arc<Shared>, conn: &Arc<Conn>) -> bool {
     shared.requests.fetch_add(1, Ordering::Relaxed);
     let (id, request) = parse_request(body);
     let request = match request {
         Ok(request) => request,
         Err(error) => {
-            shared.count_error();
-            let _ = reply.send(render_error(id, &error));
+            conn.send(&error_frame(shared, id, &error));
             return true;
         }
     };
     let id = id.expect("parse_request validated the id");
 
     if shared.draining.load(Ordering::SeqCst) && !matches!(request, Request::Stats) {
-        shared.count_error();
         let error = ProtocolError::new(ErrorCode::ShuttingDown, "daemon is draining");
-        let _ = reply.send(render_error(Some(id), &error));
+        conn.send(&error_frame(shared, Some(id), &error));
         return !matches!(request, Request::Shutdown);
     }
 
-    match request {
-        Request::Load { netlist, format } => {
-            let outcome = shared.cache.load_as(&netlist, format);
-            send_result(
-                shared,
-                reply,
-                id,
-                outcome.map(|report| render_load(&report)),
-            );
-            true
+    let outcome = match request {
+        Request::Load { netlist, format } => shared
+            .cache
+            .load_as(&netlist, format)
+            .map(|report| render_load(&report)),
+        Request::Simulate { key, suite, model } => {
+            submit_simulate(shared, conn, id, key, suite, model);
+            return true;
         }
-        Request::Simulate {
-            key,
-            suite,
-            model,
-            observers,
-        } => {
-            submit_simulate(shared, reply, inflight, id, key, suite, model, observers);
-            true
-        }
-        Request::Edit { key, commands } => {
-            let outcome = with_entry(shared, &key, |entry| {
-                entry.write_state().apply_commands(&commands).map(|report| {
-                    format!(
-                        r#"{{"edits":{},"revert_depth":{}}}"#,
-                        report.edits, report.revert_depth
-                    )
-                })
-            });
-            send_result(shared, reply, id, outcome);
-            true
-        }
-        Request::Revert { key } => {
-            let outcome = with_entry(shared, &key, |entry| {
-                entry
-                    .write_state()
-                    .revert()
-                    .map(|report| format!(r#"{{"revert_depth":{}}}"#, report.revert_depth))
-            });
-            send_result(shared, reply, id, outcome);
-            true
-        }
+        Request::Edit { key, commands } => with_entry(shared, &key, |entry| {
+            entry.write_state().apply_commands(&commands).map(|report| {
+                format!(
+                    r#"{{"edits":{},"revert_depth":{}}}"#,
+                    report.edits, report.revert_depth
+                )
+            })
+        }),
+        Request::Revert { key } => with_entry(shared, &key, |entry| {
+            entry
+                .write_state()
+                .revert()
+                .map(|report| format!(r#"{{"revert_depth":{}}}"#, report.revert_depth))
+        }),
         Request::Stats => {
             let cache = shared.cache.counters();
-            let body = format!(
+            Ok(format!(
                 concat!(
                     r#"{{"connections":{},"requests":{},"errors":{},"busy_rejections":{},"#,
                     r#""jobs_executed":{},"workers":{},"draining":{},"#,
@@ -451,32 +574,29 @@ fn dispatch(
                 cache.hits,
                 cache.compiles,
                 cache.evictions,
-            );
-            let _ = reply.send(render_ok(id, &body));
-            true
+            ))
         }
         Request::Shutdown => {
             shared.draining.store(true, Ordering::SeqCst);
-            let _ = reply.send(render_ok(id, r#"{"draining":true}"#));
-            false
-        }
-    }
-}
-
-fn send_result(
-    shared: &Shared,
-    reply: &Sender<String>,
-    id: u64,
-    outcome: Result<String, ProtocolError>,
-) {
-    let frame = match outcome {
-        Ok(body) => render_ok(id, &body),
-        Err(error) => {
-            shared.count_error();
-            render_error(Some(id), &error)
+            conn.send(&render_ok(id, r#"{"draining":true}"#));
+            return false;
         }
     };
-    let _ = reply.send(frame);
+    conn.send(&result_frame(shared, id, outcome));
+    true
+}
+
+/// Renders an error answer, counting it in `stats`.
+fn error_frame(shared: &Shared, id: Option<u64>, error: &ProtocolError) -> String {
+    shared.errors.fetch_add(1, Ordering::Relaxed);
+    render_error(id, error)
+}
+
+fn result_frame(shared: &Shared, id: u64, outcome: Result<String, ProtocolError>) -> String {
+    match outcome {
+        Ok(body) => render_ok(id, &body),
+        Err(error) => error_frame(shared, Some(id), &error),
+    }
 }
 
 fn with_entry<T>(
@@ -484,13 +604,15 @@ fn with_entry<T>(
     key: &str,
     f: impl FnOnce(&CacheEntry) -> Result<T, ProtocolError>,
 ) -> Result<T, ProtocolError> {
-    let entry = shared.cache.get(key).ok_or_else(|| {
-        ProtocolError::new(
-            ErrorCode::UnknownKey,
-            format!("no circuit {key:?} is loaded (never loaded, or evicted)"),
-        )
-    })?;
+    let entry = shared.cache.get(key).ok_or_else(|| unknown_key(key))?;
     f(&entry)
+}
+
+fn unknown_key(key: &str) -> ProtocolError {
+    ProtocolError::new(
+        ErrorCode::UnknownKey,
+        format!("no circuit {key:?} is loaded (never loaded, or evicted)"),
+    )
 }
 
 fn render_load(report: &cache::LoadReport) -> String {
@@ -504,51 +626,52 @@ fn render_load(report: &cache::LoadReport) -> String {
     )
 }
 
-/// Decrements the connection's in-flight counter even if the job panics.
-struct InflightGuard(Arc<AtomicUsize>);
+/// A `simulate`'s place in its connection's in-flight quota.  Its answer is
+/// queued for a turn, and the turn that takes the answer to write frees the
+/// place, so a client that has read the answer never gets `quota` for that
+/// place, and a client that reads nothing has at most its quota of answers
+/// waiting.  Dropped unanswered (the scheduler refused the job, or it
+/// panicked), the slot frees its place at once.
+struct Slot(Option<Arc<Conn>>);
 
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+impl Slot {
+    fn answer(mut self, frame: String) {
+        if let Some(conn) = self.0.take() {
+            conn.answer(frame);
+        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+impl Drop for Slot {
+    fn drop(&mut self) {
+        if let Some(conn) = self.0.take() {
+            conn.lock().inflight -= 1;
+        }
+    }
+}
+
 fn submit_simulate(
     shared: &Arc<Shared>,
-    reply: &Sender<String>,
-    inflight: &Arc<AtomicUsize>,
+    conn: &Arc<Conn>,
     id: u64,
     key: String,
     suite: StimulusSuite,
     model: ModelColumn,
-    observers: ObserverSelection,
 ) {
-    let entry = match shared.cache.get(&key) {
-        Some(entry) => entry,
-        None => {
-            shared.count_error();
-            let error = ProtocolError::new(
-                ErrorCode::UnknownKey,
-                format!("no circuit {key:?} is loaded (never loaded, or evicted)"),
-            );
-            let _ = reply.send(render_error(Some(id), &error));
-            return;
-        }
+    let Some(entry) = shared.cache.get(&key) else {
+        conn.send(&error_frame(shared, Some(id), &unknown_key(&key)));
+        return;
     };
 
     // The suite generators assert their input-count contracts; violating
     // them from the wire must be a structured error, not a worker panic.
     let config = model.config();
     if let Some(error) = validate_suite(&entry, &suite, config.max_events) {
-        shared.count_error();
-        let _ = reply.send(render_error(Some(id), &error));
+        conn.send(&error_frame(shared, Some(id), &error));
         return;
     }
 
-    if inflight.fetch_add(1, Ordering::SeqCst) >= shared.config.max_inflight {
-        inflight.fetch_sub(1, Ordering::SeqCst);
-        shared.count_error();
+    let Some(slot) = conn.admit(shared.config.max_inflight) else {
         let error = ProtocolError::new(
             ErrorCode::Quota,
             format!(
@@ -556,37 +679,28 @@ fn submit_simulate(
                 shared.config.max_inflight
             ),
         );
-        let _ = reply.send(render_error(Some(id), &error));
+        conn.send(&error_frame(shared, Some(id), &error));
         return;
-    }
-    let guard = InflightGuard(Arc::clone(inflight));
+    };
 
     let shared_for_job = Arc::clone(shared);
-    let reply_for_job = reply.clone();
     let job = Box::new(move |arena: &mut crate::scheduler::WorkerArena| {
-        let _guard = guard;
-        let outcome = run_simulate(arena, &entry, &suite, model, &config, observers);
-        send_result(&shared_for_job, &reply_for_job, id, outcome);
+        let outcome = run_simulate(arena, &entry, &suite, model, &config);
+        slot.answer(result_frame(&shared_for_job, id, outcome));
     });
-    match shared.scheduler.try_submit(job) {
-        Ok(()) => {}
-        Err(submit_error) => {
-            // The job (and with it the guard) was dropped by the scheduler,
-            // so the quota slot is already released.
-            shared.count_error();
-            if submit_error == SubmitError::Busy {
+    if let Err(submit_error) = shared.scheduler.try_submit(job) {
+        // The scheduler dropped the job, and with it the slot, so the quota
+        // place is already released.
+        let error = match submit_error {
+            SubmitError::Busy => {
                 shared.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                ProtocolError::new(ErrorCode::Busy, "simulation queue is full; retry later")
             }
-            let error = match submit_error {
-                SubmitError::Busy => {
-                    ProtocolError::new(ErrorCode::Busy, "simulation queue is full; retry later")
-                }
-                SubmitError::ShuttingDown => {
-                    ProtocolError::new(ErrorCode::ShuttingDown, "daemon is draining")
-                }
-            };
-            let _ = reply.send(render_error(Some(id), &error));
-        }
+            SubmitError::ShuttingDown => {
+                ProtocolError::new(ErrorCode::ShuttingDown, "daemon is draining")
+            }
+        };
+        conn.send(&error_frame(shared, Some(id), &error));
     }
 }
 
@@ -668,7 +782,6 @@ fn run_simulate(
     suite: &StimulusSuite,
     model: ModelColumn,
     config: &SimulationConfig,
-    observers: ObserverSelection,
 ) -> Result<String, ProtocolError> {
     let started = Instant::now();
     // Holding the read lock for the whole run serialises against edits on
@@ -693,7 +806,8 @@ fn run_simulate(
                 r#"{{"stimulus":{},"events_scheduled":{},"events_filtered":{},"#,
                 r#""events_processed":{},"output_transitions":{},"#,
                 r#""degraded_transitions":{},"collapsed_transitions":{},"#,
-                r#""queue_high_water":{}"#
+                r#""queue_high_water":{},"transitions":{},"energy_joules":{},"#,
+                r#""glitch_pulses":{}}}"#
             ),
             json::string(stimulus_label),
             stats.events_scheduled,
@@ -703,23 +817,10 @@ fn run_simulate(
             stats.degraded_transitions,
             stats.collapsed_transitions,
             stats.queue_high_water,
+            stats.output_transitions,
+            json::number(power.total_joules()),
+            glitches.total_glitches(),
         ));
-        if observers.activity {
-            rows.push_str(&format!(r#","transitions":{}"#, stats.output_transitions));
-        }
-        if observers.power {
-            rows.push_str(&format!(
-                r#","energy_joules":{}"#,
-                json::number(power.total_joules())
-            ));
-        }
-        if observers.glitches {
-            rows.push_str(&format!(
-                r#","glitch_pulses":{}"#,
-                glitches.total_glitches()
-            ));
-        }
-        rows.push('}');
     }
     Ok(format!(
         r#"{{"key":{},"model":{},"scenarios":[{}],"wall_time_ns":{}}}"#,

@@ -21,7 +21,7 @@ TIMING=serve_timing.txt
 
 cargo build --release --bin halotis-serve --bin halotis-load
 
-# --cache 32 holds the whole 22-entry corpus, so the capture measures the
+# --cache 32 holds the whole 24-entry corpus, so the capture measures the
 # steady-state serve path rather than eviction/recompile churn (the load
 # generator tolerates eviction by re-loading, but that is not the number
 # this baseline tracks).

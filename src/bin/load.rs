@@ -19,7 +19,7 @@
 //! * `--shutdown` — send a `shutdown` request after the run, draining the
 //!   daemon (used by `scripts/serve_bench.sh`).
 //!
-//! Every run replays the full 22-entry standard corpus — each entry loaded
+//! Every run replays the full 24-entry standard corpus — each entry loaded
 //! by fingerprint, then simulated under the DDM, CDM and MIX model columns.
 
 use std::env;

@@ -17,8 +17,9 @@
 //! * `--max-frame BYTES` — largest accepted request frame (default 8 MiB),
 //! * `--max-inflight N` — per-connection simulate quota; overflow answers
 //!   `quota` (default 8),
-//! * `--read-timeout-ms MS` — per-connection read timeout, the slow-loris
-//!   bound (default 10000),
+//! * `--read-timeout-ms MS` — per-connection I/O timeout: it bounds each
+//!   read (the slow-loris bound) and each run of answer writes, so a client
+//!   that stops reading is disconnected (default 10000),
 //! * `--preload` — replay the standard corpus into the compiled-circuit
 //!   cache before accepting connections (raises `--cache` to fit it).
 //!

@@ -4,10 +4,18 @@
 //! garbage JSON, slow-loris trickling, pipelined overload — must produce a
 //! structured error (where a reply is still possible) and leave the daemon
 //! serving; worker-pool slots and per-connection quotas must never leak.
-//! The daemon under test listens on loopback TCP (port 0) or a Unix-domain
-//! socket, with timeouts tightened so the suite stays fast.
+//! A client that reads its answers slowly or never must cost the daemon no
+//! memory beyond the socket buffers, and hold at most one worker, for no
+//! longer than the I/O timeout at a time.  The daemon under test listens on loopback TCP (port 0) or a
+//! Unix-domain socket, with timeouts tightened so the suite stays fast.
 
-use std::time::Duration;
+use std::io::Read;
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use halotis::core::TimeDelta;
 use halotis::corpus::StimulusSuite;
@@ -16,6 +24,7 @@ use halotis::serve::client::{
     load_request, revert_request, shutdown_request, simulate_request, stats_request, Client,
     Response,
 };
+use halotis::serve::frame::{read_frame, write_frame, FrameError};
 use halotis::serve::json::{self, Value};
 use halotis::serve::{start, ServerConfig, ServerHandle};
 
@@ -39,6 +48,50 @@ fn connect(addr: &str) -> Client {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     client
+}
+
+/// Starts a daemon on a Unix-domain socket only, named after `test`.
+fn start_uds_daemon(test: &str, config: ServerConfig) -> (ServerHandle, PathBuf) {
+    let path =
+        std::env::temp_dir().join(format!("halotis-serve-{test}-{}.sock", std::process::id()));
+    let handle = start(ServerConfig {
+        tcp: None,
+        uds: Some(path.clone()),
+        ..config
+    })
+    .expect("daemon starts on uds");
+    (handle, path)
+}
+
+fn connect_uds(path: &Path) -> Client {
+    let mut client = Client::connect_uds(path).expect("uds client connects");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    client
+}
+
+/// Loads c17 and returns its cache key.
+fn load_c17(client: &mut Client, id: u64) -> String {
+    client
+        .call(&load_request(id, &c17_text()))
+        .unwrap()
+        .ok()
+        .and_then(|ok| ok.get("key"))
+        .and_then(Value::as_str)
+        .expect("c17 loads")
+        .to_string()
+}
+
+/// One counter of the daemon's `stats` answer.
+fn stat(client: &mut Client, id: u64, counter: &str) -> u64 {
+    client
+        .call(&stats_request(id))
+        .unwrap()
+        .ok()
+        .and_then(|ok| ok.get(counter))
+        .and_then(Value::as_u64)
+        .expect("stats carries the counter")
 }
 
 fn stop(handle: ServerHandle) {
@@ -432,17 +485,8 @@ fn shutdown_drains_and_refuses_new_work() {
 
 #[test]
 fn unix_domain_socket_serves_the_same_protocol() {
-    let path = std::env::temp_dir().join(format!("halotis-serve-test-{}.sock", std::process::id()));
-    let handle = start(ServerConfig {
-        uds: Some(path.clone()),
-        read_timeout: Duration::from_millis(400),
-        ..ServerConfig::default()
-    })
-    .expect("daemon starts on uds");
-    let mut client = Client::connect_uds(&path).expect("uds client connects");
-    client
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let (handle, path) = start_uds_daemon("uds", test_config());
+    let mut client = connect_uds(&path);
 
     let load = client.call(&load_request(1, &c17_text())).unwrap();
     let key = load
@@ -630,6 +674,330 @@ fn cyclic_netlists_are_refused_with_a_structured_error() {
     // The connection survives and serves acyclic work afterwards.
     let load = client.call(&load_request(2, &c17_text())).unwrap();
     assert!(load.ok().is_some());
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn sequential_calls_over_tcp_are_not_held_back_by_nagle() {
+    // Each frame is one write: a prefix written on its own let Nagle hold
+    // the body back for the peer's delayed ACK, about 88 ms per round trip.
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+    let started = Instant::now();
+    for id in 0..200 {
+        assert!(client.call(&stats_request(id)).unwrap().ok().is_some());
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "200 round trips took {elapsed:?}"
+    );
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn a_client_that_stops_reading_stops_its_own_requests() {
+    // The answers back up in the socket, not in the daemon: once the socket
+    // buffers are full, the daemon stops reading the flood.  A Unix socket's
+    // buffers are fixed, so the stall point does not depend on autotuning.
+    // The timeout must outlast the stall, or the daemon would close the
+    // connection before the answers are read back.
+    let (handle, path) = start_uds_daemon(
+        "backlog",
+        ServerConfig {
+            read_timeout: Duration::from_secs(60),
+            ..test_config()
+        },
+    );
+    const FRAMES: u64 = 100_000;
+    let mut flood = UnixStream::connect(&path).unwrap();
+    let mut writer = flood.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        for id in 0..FRAMES {
+            write_frame(&mut writer, stats_request(id).as_bytes()).unwrap();
+        }
+    });
+
+    // Poll until the count of flood frames read stops growing.  Each poll is
+    // one request too, counted before the answer is rendered.
+    let mut probe = connect_uds(&path);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let (mut read, mut unchanged) = (0, 0);
+    for id in 0.. {
+        let now = stat(&mut probe, id, "requests") - (id + 1);
+        unchanged = if now == read { unchanged + 1 } else { 0 };
+        read = now;
+        if unchanged == 5 || read >= FRAMES || Instant::now() > deadline {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert!(
+        read < FRAMES / 2,
+        "the daemon read {read} of {FRAMES} frames from a client that reads nothing"
+    );
+
+    // Reading resumes the flood, and every answer arrives, in order.
+    for id in 0..FRAMES {
+        let body = read_frame(&mut flood, 1 << 20)
+            .unwrap()
+            .expect("an answer per request");
+        assert!(body.starts_with(format!(r#"{{"id":{id},"ok":"#).as_bytes()));
+    }
+    sender.join().unwrap();
+    drop((flood, probe));
+    stop(handle);
+}
+
+#[test]
+fn a_stuck_reader_is_closed_and_other_clients_keep_being_answered() {
+    let timeout = Duration::from_millis(300);
+    let (handle, path) = start_uds_daemon(
+        "stuck",
+        ServerConfig {
+            read_timeout: timeout,
+            ..test_config()
+        },
+    );
+    // One probe connection throughout, which is never answered `timeout`.
+    let mut probe = connect_uds(&path);
+    let key = load_c17(&mut probe, 1);
+
+    // The stuck client pipelines simulates and never reads its answers;
+    // its sends fail once the daemon closes the connection.
+    let mut stuck = UnixStream::connect(&path).unwrap();
+    let mut writer = stuck.try_clone().unwrap();
+    let stuck_key = key.clone();
+    let sender = std::thread::spawn(move || {
+        for id in 0..20_000 {
+            let request = simulate_request(id, &stuck_key, &exhaustive(), "ddm");
+            if write_frame(&mut writer, request.as_bytes()).is_err() {
+                break;
+            }
+        }
+    });
+
+    // The daemon has read a stuck frame once `requests` counts more than
+    // the probe's own.  From then until the stuck connection is closed,
+    // leaving only the probe's open, every probe simulate is answered
+    // within a small multiple of the timeout.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut id = 1;
+    loop {
+        id += 1;
+        if stat(&mut probe, id, "requests") > id {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the stuck client was never read");
+    }
+    loop {
+        id += 1;
+        if stat(&mut probe, id, "connections") == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stuck connection was never closed"
+        );
+        id += 1;
+        let started = Instant::now();
+        let response = probe
+            .call(&simulate_request(id, &key, &exhaustive(), "ddm"))
+            .unwrap();
+        assert!(response.ok().is_some(), "{:?}", response.error_code());
+        let waited = started.elapsed();
+        assert!(waited < timeout * 5, "a simulate waited {waited:?}");
+    }
+
+    // The stuck client finds its connection closed after the answers the
+    // socket still holds.
+    stuck
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    loop {
+        match read_frame(&mut stuck, 1 << 20) {
+            Ok(Some(_)) => {}
+            Ok(None) | Err(FrameError::Truncated | FrameError::Io(_)) => break,
+            Err(err) => panic!("the stuck connection stayed open: {err}"),
+        }
+    }
+    sender.join().unwrap();
+    drop(probe);
+    stop(handle);
+}
+
+#[test]
+fn a_slow_reader_holds_up_no_other_client() {
+    // A client keeps more simulates in flight than there are workers and
+    // reads one answer every 0.8 timeouts, so no single write of an answer
+    // to it times out.  A worker that finds another thread writing to the
+    // connection queues its answer instead of waiting, so the client holds
+    // at most one worker; and the answers waiting for it cannot all be
+    // written within one timeout, so it is closed.
+    let timeout = Duration::from_millis(500);
+    let (handle, path) = start_uds_daemon(
+        "slow",
+        ServerConfig {
+            read_timeout: timeout,
+            ..test_config()
+        },
+    );
+    let mut probe = connect_uds(&path);
+    let key = load_c17(&mut probe, 1);
+
+    let slow = UnixStream::connect(&path).unwrap();
+    let mut writer = slow.try_clone().unwrap();
+    let slow_key = key.clone();
+    let sender = std::thread::spawn(move || {
+        for id in 0..20_000 {
+            let request = simulate_request(id, &slow_key, &exhaustive(), "ddm");
+            if write_frame(&mut writer, request.as_bytes()).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = slow.try_clone().unwrap();
+    let pace = timeout * 4 / 5;
+    let done = Arc::new(AtomicBool::new(false));
+    let slow_reader = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                match read_frame(&mut reader, 1 << 20) {
+                    Ok(Some(_)) => std::thread::sleep(pace),
+                    _ => break,
+                }
+            }
+        })
+    };
+
+    // The daemon has read a slow frame once `requests` counts more than the
+    // probe's own.  From then on, for six timeouts and until the slow
+    // connection is closed, every probe simulate is answered promptly.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut id = 1;
+    loop {
+        id += 1;
+        if stat(&mut probe, id, "requests") > id {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the slow client was never read");
+    }
+    let window = Instant::now() + timeout * 6;
+    let mut worst = Duration::ZERO;
+    loop {
+        id += 1;
+        if Instant::now() > window && stat(&mut probe, id, "connections") == 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the slow connection was never closed"
+        );
+        id += 1;
+        let started = Instant::now();
+        let response = probe
+            .call(&simulate_request(id, &key, &exhaustive(), "ddm"))
+            .unwrap();
+        assert!(response.ok().is_some(), "{:?}", response.error_code());
+        worst = worst.max(started.elapsed());
+    }
+    assert!(
+        worst < timeout / 2,
+        "a simulate waited {worst:?} beside the slow reader"
+    );
+
+    done.store(true, Ordering::Relaxed);
+    let _ = slow.shutdown(Shutdown::Both);
+    sender.join().unwrap();
+    slow_reader.join().unwrap();
+    drop(probe);
+    stop(handle);
+}
+
+#[test]
+fn an_answer_trickled_out_past_the_timeout_closes_the_connection() {
+    // The client reads steadily, 64 KiB every 50 ms, so each write call of
+    // its 8 MB answer makes progress well within the timeout.  Writing the
+    // whole answer takes seconds, though, and one timeout bounds all of an
+    // answer's writes together, so the daemon closes the connection
+    // mid-frame.
+    let timeout = Duration::from_millis(300);
+    let (handle, path) = start_uds_daemon(
+        "trickle",
+        ServerConfig {
+            read_timeout: timeout,
+            max_frame: 16 << 20,
+            ..test_config()
+        },
+    );
+    // `unknown_key` echoes the key, so a long key asks for a long answer.
+    // The request is built before connecting, lest the connection idle out.
+    let key = "x".repeat(8 << 20);
+    let request = revert_request(1, &key);
+    let mut client = UnixStream::connect(&path).unwrap();
+    write_frame(&mut client, request.as_bytes()).unwrap();
+    let mut prefix = [0u8; 4];
+    client.read_exact(&mut prefix).unwrap();
+    let announced = u32::from_be_bytes(prefix) as usize;
+    assert!(announced > key.len());
+
+    let started = Instant::now();
+    let mut chunk = vec![0u8; 64 << 10];
+    let mut received = 0;
+    loop {
+        match client.read(&mut chunk).unwrap() {
+            0 => break,
+            n => received += n,
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(
+        received < announced,
+        "all {announced} bytes of the answer were written, over {:?}",
+        started.elapsed()
+    );
+    drop(client);
+    stop(handle);
+}
+
+#[test]
+fn a_client_waiting_on_its_own_simulates_is_not_timed_out() {
+    // The connection sends nothing while its pipelined simulates run on one
+    // worker, for longer than the read timeout.  An idle read with answers
+    // still owed is no timeout; once all are delivered, it is.
+    let timeout = Duration::from_millis(50);
+    let (handle, addr) = start_daemon(ServerConfig {
+        workers: 1,
+        read_timeout: timeout,
+        ..test_config()
+    });
+    let mut client = connect(&addr);
+    let key = load_c17(&mut client, 1);
+    let heavy = StimulusSuite::RandomVectors {
+        vectors: 30_000,
+        period: TimeDelta::from_ns(5.0),
+        seed: 7,
+    };
+    let started = Instant::now();
+    for id in 10..18 {
+        client
+            .send(&simulate_request(id, &key, &heavy, "ddm"))
+            .unwrap();
+    }
+    for _ in 10..18 {
+        let response = client.recv().unwrap().expect("every simulate answered");
+        assert!(response.ok().is_some(), "{:?}", response.error_code());
+    }
+    let waited = started.elapsed();
+    assert!(
+        waited > timeout * 2,
+        "the simulates took {waited:?}, too short to outlast the read timeout"
+    );
+    let idle = client.recv().unwrap().expect("a timeout before the close");
+    assert_eq!(idle.error_code(), Some("timeout"));
     drop(client);
     stop(handle);
 }
