@@ -2,7 +2,7 @@
 //! the bucketed time-wheel with serial-bitset lazy
 //! cancellation that implements the Fig. 4 per-input insert/delete rule,
 //! measured against the retired `BinaryHeap` + `HashSet` implementation
-//! (`queue::reference`) on the same streams.
+//! (`halotis_bench::reference`) on the same streams.
 //!
 //! Event times use gate-delay spacing (hundreds of picoseconds between
 //! events, matching what the simulation engine actually schedules) rather
@@ -27,8 +27,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use halotis::core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
 use halotis::sim::event::Event;
-use halotis::sim::queue::reference::ReferenceEventQueue;
 use halotis::sim::queue::EventQueue;
+use halotis_bench::reference::ReferenceEventQueue;
 use std::hint::black_box;
 
 /// Gate-delay-scale spacing: successive events ~80 ps apart with a per-pin

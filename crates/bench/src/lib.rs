@@ -1,12 +1,17 @@
-//! Shared fixtures and workload generators for the HALOTIS benchmark
-//! harness.
+//! Shared fixtures, workload generators and test oracles for the HALOTIS
+//! benchmark harness.
 //!
 //! Each Criterion bench regenerates one table or figure of the paper (or a
 //! design-choice ablation); this library holds the pieces the benches share
-//! so every target measures exactly the same workloads.
+//! so every target measures exactly the same workloads.  It also keeps the
+//! retired event queue, [`reference::ReferenceEventQueue`], which the
+//! `event_queue` bench and the queue property tests compare the production
+//! queue against — out of the crates the simulator ships in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod reference;
 
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::experiments::{multiplier_stimulus, MultiplierFixture};

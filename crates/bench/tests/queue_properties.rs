@@ -7,8 +7,10 @@
 //! the queue with arbitrary schedules and check it against both global
 //! invariants and an executable reference model of the flowchart — and
 //! against the retired `BinaryHeap` + `HashSet` implementation
-//! ([`reference::ReferenceEventQueue`]), which is kept verbatim as the
-//! executable specification of the ordering contract.
+//! ([`ReferenceEventQueue`], kept verbatim in this crate's library as the
+//! executable specification of the ordering contract).  Stimulus staged
+//! with [`EventQueue::stage`] and fed to the wheel lazily must match the
+//! reference with the same stimulus scheduled up front.
 //!
 //! Drains go through [`EventQueue::pop_checked`]: it asserts in **every**
 //! build profile that each popped entry matches its pin's pending-list
@@ -18,8 +20,8 @@
 
 use halotis::core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
 use halotis::sim::event::Event;
-use halotis::sim::queue::reference::ReferenceEventQueue;
 use halotis::sim::queue::{EventQueue, ScheduleOutcome};
+use halotis_bench::reference::ReferenceEventQueue;
 use proptest::prelude::*;
 
 const PINS: usize = 8;
@@ -249,6 +251,90 @@ proptest! {
         }
         prop_assert_eq!(wheel.scheduled(), heap.scheduled());
         prop_assert_eq!(wheel.filtered(), heap.filtered());
+    }
+}
+
+/// Stimulus inputs of the staged-stimulus property: input `k` drives pins
+/// `2k` and `2k + 1`, and the remaining pins up to [`PINS`] only ever get
+/// scheduled events.
+const STIMULUS_INPUTS: usize = 3;
+/// The time grid of the staged-stimulus property: 2^23 fs, an eighth of
+/// the feed window (half the default wheel's 2^27-fs ring), so event times
+/// also land exactly on feed horizons.
+const UNIT: i64 = 1 << 23;
+/// Gaps between an input's successive transition starts, in units: equal
+/// starts, a fraction of a window, one window, and many windows.
+const GAPS: [i64; 5] = [0, 1, 3, 8, 120];
+/// Transition slews in units.
+const SLEWS: [i64; 3] = [0, 4, 8];
+/// Delays of the scheduled events after the pop that causes them, in
+/// units: slightly into the past, at the same instant, and up to three
+/// windows on.
+const DELAYS: [i64; 5] = [-1, 0, 1, 2, 24];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Stimulus staged with `EventQueue::stage` and fed to the wheel one
+    /// window at a time is observationally identical to the reference
+    /// queue with the same stimulus scheduled up front, while events are
+    /// scheduled (or staged) between pops: same outcomes, same pop sequence
+    /// (all times sit on the [`UNIT`] grid, so equal-time serial tie-breaks
+    /// between staged and scheduled events are common), same lengths, and
+    /// the same scheduled, filtered and high-water counts.  Each
+    /// transition's crossings fall at a per-pin fraction of its slew, so a
+    /// transition that follows a slower one closely cancels it on some
+    /// pins.
+    #[test]
+    fn staged_stimulus_matches_up_front_reference(
+        transitions in proptest::collection::vec((0usize..STIMULUS_INPUTS, 0usize..5, 0usize..3), 1..60),
+        scheduled in proptest::collection::vec((0usize..PINS, 0usize..5, 0u8..4), 0..80),
+    ) {
+        let mut queue = EventQueue::new(PINS);
+        let mut reference = ReferenceEventQueue::new(PINS);
+        let mut reference_high_water = 0;
+        // The engine's staging order: input by input, each input's
+        // transitions in order, each transition's pins in order.
+        for input in 0..STIMULUS_INPUTS {
+            let mut start = 0;
+            for &(_, gap, slew) in transitions.iter().filter(|(of, _, _)| *of == input) {
+                start += GAPS[gap] * UNIT;
+                for pin in [2 * input, 2 * input + 1] {
+                    let time = start + SLEWS[slew] * UNIT * (pin as i64 % 5) / 4;
+                    let candidate = event(time, pin);
+                    prop_assert_eq!(
+                        queue.stage(pin, candidate, Time::from_fs(start)),
+                        reference.schedule(pin, candidate)
+                    );
+                    reference_high_water = reference_high_water.max(reference.len());
+                }
+            }
+        }
+        prop_assert_eq!(queue.len(), reference.len());
+        let mut scheduled = scheduled.into_iter();
+        loop {
+            let ours = queue.pop_checked();
+            prop_assert_eq!(ours, reference.pop());
+            let Some(popped) = ours else { break };
+            if let Some((pin, delay, how)) = scheduled.next() {
+                let time = popped.time.as_fs() + DELAYS[delay] * UNIT;
+                let candidate = event(time, pin);
+                // One in four goes through `stage` after pops began: due
+                // ones go straight to the wheel, later ones start new runs.
+                let ours = if how == 0 {
+                    queue.stage(pin, candidate, Time::from_fs(time))
+                } else {
+                    queue.schedule(pin, candidate)
+                };
+                prop_assert_eq!(ours, reference.schedule(pin, candidate));
+                reference_high_water = reference_high_water.max(reference.len());
+            }
+            prop_assert_eq!(queue.len(), reference.len());
+        }
+        prop_assert_eq!(queue.scheduled(), reference.scheduled());
+        prop_assert_eq!(queue.filtered(), reference.filtered());
+        prop_assert_eq!(queue.high_water(), reference_high_water);
+        prop_assert!(queue.is_empty());
     }
 }
 

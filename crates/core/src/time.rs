@@ -113,6 +113,13 @@ impl Time {
         Time(self.0.saturating_add(delta.0))
     }
 
+    /// Checked addition of a delta: `None` when the sum lies outside the
+    /// femtosecond clock.
+    #[inline]
+    pub fn checked_add(self, delta: TimeDelta) -> Option<Time> {
+        self.0.checked_add(delta.0).map(Time)
+    }
+
     /// Returns the earlier of two instants.
     #[inline]
     pub fn min(self, other: Time) -> Time {
@@ -209,6 +216,13 @@ impl TimeDelta {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
+    }
+
+    /// Checked multiplication by an integer: `None` when the product lies
+    /// outside the femtosecond range.
+    #[inline]
+    pub fn checked_mul(self, factor: i64) -> Option<TimeDelta> {
+        self.0.checked_mul(factor).map(TimeDelta)
     }
 
     /// Multiplies the span by a dimensionless factor, rounding to the nearest
@@ -402,6 +416,31 @@ mod tests {
         assert_eq!(a.delta_since(b), TimeDelta::from_ns(2.0));
         assert!(b.delta_since(a).is_negative());
         assert_eq!(Time::MAX.saturating_add(TimeDelta::from_ns(1.0)), Time::MAX);
+    }
+
+    #[test]
+    fn checked_arithmetic_refuses_to_wrap_at_the_i64_edges() {
+        let one = TimeDelta::from_fs(1);
+        assert_eq!(
+            Time::from_fs(i64::MAX - 1).checked_add(one),
+            Some(Time::MAX)
+        );
+        assert_eq!(Time::MAX.checked_add(one), None);
+        assert_eq!(Time::MIN.checked_add(-one), None);
+        assert_eq!(
+            Time::MIN.checked_add(one),
+            Some(Time::from_fs(i64::MIN + 1))
+        );
+        assert_eq!(Time::MAX.checked_add(TimeDelta::MAX), None);
+        assert_eq!(
+            TimeDelta::from_fs(i64::MAX / 2).checked_mul(2),
+            Some(TimeDelta::from_fs(i64::MAX - 1))
+        );
+        assert_eq!(TimeDelta::from_fs(i64::MAX / 2 + 1).checked_mul(2), None);
+        assert_eq!(TimeDelta::from_fs(i64::MIN).checked_mul(-1), None);
+        assert_eq!(TimeDelta::from_fs(-1).checked_mul(i64::MIN), None);
+        assert_eq!(TimeDelta::MAX.checked_mul(1), Some(TimeDelta::MAX));
+        assert_eq!(TimeDelta::MAX.checked_mul(0), Some(TimeDelta::ZERO));
     }
 
     #[test]

@@ -15,6 +15,19 @@ use rand::{Rng, SeedableRng};
 /// Most input patterns a suite may sweep exhaustively (2^12 vectors).
 pub const MAX_EXHAUSTIVE_INPUTS: usize = 12;
 
+/// Why expanding a suite may assume its pattern times fit the clock.
+const FITS_THE_CLOCK: &str = "pattern time overflows the femtosecond clock; \
+     halotis-serve's validate_suite refuses suites whose pattern_start(period, count) is None";
+
+/// The instant pattern (or clock cycle) `index` of a suite starts at:
+/// patterns start at 1 ns, one every `period`.  `None` when it does not fit
+/// the femtosecond clock — with `index` the suite's pattern count, this is
+/// the end-of-suite bound a server checks before expanding a suite.
+pub fn pattern_start(period: TimeDelta, index: usize) -> Option<Time> {
+    let span = period.checked_mul(i64::try_from(index).ok()?)?;
+    Time::from_ns(1.0).checked_add(span)
+}
+
 /// A reproducible recipe producing one or more stimuli for a circuit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StimulusSuite {
@@ -195,9 +208,8 @@ impl StimulusSuite {
                 } else {
                     u64::MAX >> (64 - data.len())
                 };
-                let start = Time::from_ns(1.0);
                 for cycle in 0..cycles {
-                    let rise = start + period * cycle as i64;
+                    let rise = pattern_start(period, cycle).expect(FITS_THE_CLOCK);
                     let fall = rise + high;
                     stimulus.drive(clock, rise, LogicLevel::High);
                     stimulus.drive(clock, fall, LogicLevel::Low);
@@ -224,9 +236,9 @@ fn pattern_sequence(
     for name in inputs {
         stimulus.set_initial(*name, LogicLevel::Low);
     }
-    let start = Time::from_ns(1.0);
     for (index, &pattern) in patterns.iter().enumerate() {
-        stimulus.drive_bus_value(inputs, pattern, start + period * index as i64);
+        let start = pattern_start(period, index).expect(FITS_THE_CLOCK);
+        stimulus.drive_bus_value(inputs, pattern, start);
     }
     stimulus
 }

@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use halotis_core::Time;
+use halotis_corpus::stimuli::pattern_start;
 use halotis_corpus::{ModelColumn, ScenarioObserver, StimulusSuite};
 use halotis_sim::SimulationConfig;
 
@@ -742,8 +742,9 @@ fn validate_suite(
     // A suite long enough to blow the run's event budget or to overflow
     // the femtosecond clock is refused before it is expanded: expanding it
     // could exhaust memory, and wrapped times would give wrong answers.
-    // Patterns start at 1 ns, one every `period`, so `count` periods past
-    // 1 ns bound the last stimulus transition.
+    // Patterns start at 1 ns, one every `period`, so the start of pattern
+    // `count` bounds the last stimulus transition; expanding the suite
+    // computes its pattern times with the same function.
     let (transitions, period, count) = match *suite {
         StimulusSuite::RandomVectors {
             vectors, period, ..
@@ -763,11 +764,7 @@ fn validate_suite(
             ),
         ));
     }
-    let end_fs = i64::try_from(count)
-        .ok()
-        .and_then(|count| period.as_fs().checked_mul(count))
-        .and_then(|span| span.checked_add(Time::from_ns(1.0).as_fs()));
-    if end_fs.is_none() {
+    if pattern_start(period, count).is_none() {
         return Some(ProtocolError::new(
             ErrorCode::BadRequest,
             "the suite's last transition time overflows the femtosecond clock",

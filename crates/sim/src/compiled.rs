@@ -702,6 +702,17 @@ impl<'a> CompiledCircuit<'a> {
     /// the observer's choice.  See [`observer`](crate::observer) for the
     /// shipped implementations.
     ///
+    /// A set-up pass walks every primary input's transitions in order,
+    /// streaming each to the observer and applying the Fig. 4 rule to the
+    /// events it causes.  Those events are *staged*
+    /// ([`EventQueue::stage`](crate::queue::EventQueue::stage)): numbered
+    /// before every gate event and counted as scheduled and pending, but
+    /// fed to the queue's time wheel only one window ahead of the main
+    /// loop's clock.  Results, statistics and the observer's stream are
+    /// exactly those of scheduling the whole stimulus up front.  With a
+    /// `time_limit`, the set-up pass still reports every stimulus
+    /// transition, including those past the limit.
+    ///
     /// # Errors
     ///
     /// * [`SimulationError::UndrivenPrimaryInput`] if the stimulus does not
@@ -750,6 +761,8 @@ impl<'a> CompiledCircuit<'a> {
         observer.begin(self, &initial_levels);
 
         // --- stimulus events ------------------------------------------------
+        // Staged, not scheduled: the queue numbers them first and feeds
+        // them to its wheel one window ahead of the main loop's clock.
         let mut stats = SimulationStats::default();
         for &input in netlist.primary_inputs() {
             let net = netlist.net(input);
@@ -765,6 +778,7 @@ impl<'a> CompiledCircuit<'a> {
                     input.index(),
                     transition,
                     transition.edge().target_level(),
+                    true,
                 );
             }
         }
@@ -861,7 +875,14 @@ impl<'a> CompiledCircuit<'a> {
             state.last_output_start[gate_index] = transition.start();
             state.output_target[gate_index] = new_output;
 
-            self.schedule_fanouts(state, observer, output_net.index(), &transition, new_output);
+            self.schedule_fanouts(
+                state,
+                observer,
+                output_net.index(),
+                &transition,
+                new_output,
+                false,
+            );
         }
 
         stats.events_scheduled = state.queue.scheduled();
@@ -894,8 +915,8 @@ impl<'a> CompiledCircuit<'a> {
 
     /// Schedules the events one output transition generates: one per fanout
     /// input whose threshold the ramp crosses, each at its own precomputed
-    /// crossing progress (paper Fig. 3) — shared by the stimulus loop and
-    /// the main loop.
+    /// crossing progress (paper Fig. 3) — shared by the stimulus loop, which
+    /// stages them (`stimulus`), and the main loop.
     #[inline]
     fn schedule_fanouts<O: SimObserver + ?Sized>(
         &self,
@@ -904,6 +925,7 @@ impl<'a> CompiledCircuit<'a> {
         net_index: usize,
         transition: &Transition,
         target: LogicLevel,
+        stimulus: bool,
     ) {
         let edge_index = match transition.edge() {
             Edge::Rise => 0,
@@ -917,10 +939,13 @@ impl<'a> CompiledCircuit<'a> {
             if progress >= 0.0 {
                 let crossing = start + slew.scale(progress);
                 let pin = self.fanout_pins[row];
-                let outcome = state.queue.schedule(
-                    self.fanout_dense[row] as usize,
-                    Event::new(crossing, pin, target, slew),
-                );
+                let dense = self.fanout_dense[row] as usize;
+                let event = Event::new(crossing, pin, target, slew);
+                let outcome = if stimulus {
+                    state.queue.stage(dense, event, start)
+                } else {
+                    state.queue.schedule(dense, event)
+                };
                 if outcome == ScheduleOutcome::CancelledPrevious {
                     observer.on_event_filtered(pin, crossing);
                 }

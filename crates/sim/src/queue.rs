@@ -18,12 +18,27 @@
 //! than a binary heap: simulation timestamps cluster at gate-delay
 //! granularity, so insert is an array index plus a push and pop scans one
 //! small bucket.  Cancellation stays lazy — one bit in a serial-indexed
-//! bitset — so both operations avoid hashing entirely.  The previous
-//! `BinaryHeap` + `HashSet` implementation is preserved verbatim in
-//! [`mod@reference`] as the executable specification the property tests and the
-//! `event_queue` benchmark compare against.
+//! bitset — so both operations avoid hashing entirely.
+//!
+//! Stimulus is **staged**, not scheduled up front.  [`EventQueue::stage`]
+//! applies the same Fig. 4 rule, numbers a surviving event as scheduling it
+//! would and counts it as pending, but only an event whose transition
+//! starts within the current window goes into the wheel at once; a later
+//! one waits in a buffer.  Pops feed the buffer into the wheel half a ring
+//! ahead of the queue's clock, one window at a time, through the wheel's
+//! bounded `pop_through`.  A long stimulus (the s27 soak stages 20,050
+//! events) therefore never crowds the wheel: its pending set spans about
+//! one ring, the range in which a calendar queue stays `O(1)`, instead of
+//! spilling into the far-future heap.  Pop order, counters and the
+//! high-water mark are exactly those of scheduling the whole stimulus up
+//! front; `crates/bench/tests/queue_properties.rs` checks that against the
+//! retired `BinaryHeap` + `HashSet` queue, which `halotis_bench` keeps as
+//! its executable specification.
 
-use halotis_core::Time;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use halotis_core::{Time, TimeDelta};
 
 use crate::event::Event;
 use crate::wheel::TimeWheel;
@@ -89,6 +104,7 @@ impl PendingLists {
         })
     }
 
+    #[inline(always)]
     fn push_back(&mut self, pin: usize, time: Time, serial: u64) {
         let node = (time, serial, NIL);
         let index = match self.free.pop() {
@@ -173,6 +189,26 @@ impl PendingLists {
     }
 }
 
+/// A staged stimulus event waiting for the feed horizon to reach it.
+#[derive(Clone, Copy, Debug)]
+struct StagedEvent {
+    /// Start of the causing transition, no later than the event's time:
+    /// the key the feed walks each run by.
+    start: Time,
+    serial: u64,
+    /// The event; [`CANCELLED`] as its pin index once the Fig. 4 rule
+    /// removed it before it was fed.
+    queued: QueuedEvent,
+}
+
+/// Pin index of a staged event the Fig. 4 rule cancelled before its feed.
+const CANCELLED: u32 = u32::MAX;
+
+/// A feed reaches this fraction of the wheel's ring span past the queue's
+/// clock: half a ring, which leaves the other half for a fed event's
+/// distance from its transition's start and for the cursor's lag.
+const FEED_WINDOW_DIVISOR: i64 = 2;
+
 /// Time-ordered event queue with the per-input cancellation rule.
 ///
 /// # Example
@@ -195,6 +231,20 @@ impl PendingLists {
 pub struct EventQueue {
     wheel: TimeWheel<QueuedEvent>,
     pending: PendingLists,
+    /// Staged events not due when staged, in staging (and serial) order.
+    staged: Vec<StagedEvent>,
+    /// One entry per run of staged events whose starts never decrease and
+    /// that still has events to feed: the start and index of its next
+    /// event, earliest start first.
+    runs: BinaryHeap<Reverse<(Time, usize)>>,
+    /// Staged events neither fed nor cancelled.
+    waiting: usize,
+    /// Stimulus starting before the horizon is in the wheel; every waiting
+    /// event starts at or after it.  [`Time::MIN`] until the first stage.
+    horizon: Time,
+    /// The latest time the wheel may pop: just before the horizon while
+    /// events wait, [`Time::MAX`] otherwise.
+    through: Time,
     scheduled: usize,
     filtered: usize,
     high_water: usize,
@@ -206,6 +256,11 @@ impl EventQueue {
         EventQueue {
             wheel: TimeWheel::new(),
             pending: PendingLists::new(pin_count),
+            staged: Vec::new(),
+            runs: BinaryHeap::new(),
+            waiting: 0,
+            horizon: Time::MIN,
+            through: Time::MAX,
             scheduled: 0,
             filtered: 0,
             high_water: 0,
@@ -219,13 +274,8 @@ impl EventQueue {
     ///
     /// Panics if `pin_index` is out of range for the queue.
     pub fn schedule(&mut self, pin_index: usize, event: Event) -> ScheduleOutcome {
-        if let Some((previous_time, previous_serial)) = self.pending.back(pin_index) {
-            if event.time <= previous_time {
-                self.wheel.cancel(previous_serial);
-                self.pending.pop_back(pin_index);
-                self.filtered += 1;
-                return ScheduleOutcome::CancelledPrevious;
-            }
+        if self.cancels_previous(pin_index, event.time) {
+            return ScheduleOutcome::CancelledPrevious;
         }
         let serial = self.wheel.push(
             event.time,
@@ -234,10 +284,200 @@ impl EventQueue {
                 event,
             },
         );
-        self.pending.push_back(pin_index, event.time, serial);
-        self.scheduled += 1;
-        self.high_water = self.high_water.max(self.wheel.len());
+        self.inserted(pin_index, event.time, serial);
         ScheduleOutcome::Inserted
+    }
+
+    /// [`schedule`](EventQueue::schedule) for a stimulus event: the same
+    /// Fig. 4 outcome, counters, high-water mark and serial, but a surviving
+    /// event that starts a window or more past the queue's clock waits in
+    /// the staging buffer until a pop feeds it to the wheel.
+    ///
+    /// `start` is the start of the transition causing the event, no later
+    /// than `event.time`.  The first staged event sets the first window.
+    /// Consecutive waiting events whose starts never decrease form one run,
+    /// and each run is fed in order, so staging every input's transitions
+    /// in order costs one run per input.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use halotis_core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
+    /// use halotis_sim::event::Event;
+    /// use halotis_sim::queue::EventQueue;
+    ///
+    /// let mut queue = EventQueue::new(2);
+    /// let event = |ns, pin| {
+    ///     let pin = PinRef::new(GateId::new(pin), 0);
+    ///     Event::new(Time::from_ns(ns), pin, LogicLevel::High, TimeDelta::from_ps(100.0))
+    /// };
+    /// // The second event lies a microsecond out: it waits to be fed.
+    /// queue.stage(0, event(1.0, 0), Time::from_ns(1.0));
+    /// queue.stage(0, event(1000.0, 0), Time::from_ns(1000.0));
+    /// assert_eq!(queue.len(), 2);
+    /// // A gate event scheduled at the same instant pops after the staged one.
+    /// queue.schedule(1, event(1000.0, 1));
+    /// let order: Vec<usize> = std::iter::from_fn(|| queue.pop())
+    ///     .map(|e| e.pin.gate().index())
+    ///     .collect();
+    /// assert_eq!(order, vec![0, 0, 1]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is later than `event.time`.
+    pub fn stage(&mut self, pin_index: usize, event: Event, start: Time) -> ScheduleOutcome {
+        assert!(start <= event.time, "an event precedes its transition");
+        if self.cancels_previous(pin_index, event.time) {
+            return ScheduleOutcome::CancelledPrevious;
+        }
+        if self.horizon == Time::MIN {
+            self.horizon = start.saturating_add(self.window());
+        }
+        let queued = QueuedEvent {
+            pin_index: pin_index as u32,
+            event,
+        };
+        let serial = if self.due(start) {
+            self.wheel.push(event.time, queued)
+        } else {
+            let serial = self.wheel.reserve_serial();
+            // A decreasing start, or a last event already fed, begins a run.
+            if self
+                .staged
+                .last()
+                .is_none_or(|last| start < last.start || self.due(last.start))
+            {
+                self.runs.push(Reverse((start, self.staged.len())));
+            }
+            self.staged.push(StagedEvent {
+                start,
+                serial,
+                queued,
+            });
+            self.waiting += 1;
+            self.through = self.horizon - TimeDelta::from_fs(1);
+            serial
+        };
+        self.inserted(pin_index, event.time, serial);
+        ScheduleOutcome::Inserted
+    }
+
+    /// The Fig. 4 test: when an event at `time` does not come after the
+    /// input's latest pending event, cancels that event — in the staging
+    /// buffer if it still waits there, in the wheel otherwise — and returns
+    /// `true`.  This and [`inserted`](EventQueue::inserted) serve both
+    /// `schedule` and `stage`, and are always inlined so `schedule`, the
+    /// event loop's, stays one function.
+    #[inline(always)]
+    fn cancels_previous(&mut self, pin_index: usize, time: Time) -> bool {
+        let Some((previous_time, previous_serial)) = self.pending.back(pin_index) else {
+            return false;
+        };
+        if time > previous_time {
+            return false;
+        }
+        let staged = self
+            .staged
+            .last()
+            .is_some_and(|last| previous_serial <= last.serial);
+        if !(staged && self.cancel_waiting(previous_serial)) {
+            self.wheel.cancel(previous_serial);
+        }
+        self.pending.pop_back(pin_index);
+        self.filtered += 1;
+        true
+    }
+
+    /// Cancels a staged event still waiting to be fed; `false` when
+    /// `serial` is not one.
+    #[cold]
+    #[inline(never)]
+    fn cancel_waiting(&mut self, serial: u64) -> bool {
+        let Ok(index) = self
+            .staged
+            .binary_search_by_key(&serial, |staged| staged.serial)
+        else {
+            return false;
+        };
+        if self.due(self.staged[index].start) {
+            return false;
+        }
+        self.staged[index].queued.pin_index = CANCELLED;
+        self.waiting -= 1;
+        true
+    }
+
+    /// Books an inserted event: the input's pending list, the counter and
+    /// the high-water mark.
+    #[inline(always)]
+    fn inserted(&mut self, pin_index: usize, time: Time, serial: u64) {
+        self.pending.push_back(pin_index, time, serial);
+        self.scheduled += 1;
+        self.high_water = self.high_water.max(self.len());
+    }
+
+    /// How far a feed reaches past the queue's clock.
+    fn window(&self) -> TimeDelta {
+        self.wheel.span() / FEED_WINDOW_DIVISOR
+    }
+
+    /// `true` for a stimulus start the wheel already covers: before the
+    /// horizon, or anything once the horizon reached the end of time.
+    #[inline]
+    fn due(&self, start: Time) -> bool {
+        start < self.horizon || self.horizon == Time::MAX
+    }
+
+    /// Called when the wheel holds nothing live up to `through`: moves the
+    /// horizon one window past the later of itself and the earliest unfed
+    /// start, pushes every waiting event whose transition starts before it
+    /// into the wheel, and lifts the bound once nothing waits.  `false`
+    /// when the bound was already lifted, so the queue is empty.
+    #[cold]
+    #[inline(never)]
+    fn feed(&mut self) -> bool {
+        if self.through == Time::MAX {
+            return false;
+        }
+        // Cancelled events keep their runs, so a bounded queue has one.
+        let &Reverse((next_start, _)) = self.runs.peek().expect("a bounded queue has staged runs");
+        self.horizon = self.horizon.max(next_start).saturating_add(self.window());
+        while let Some(&Reverse((start, first))) = self.runs.peek() {
+            if !self.due(start) {
+                break;
+            }
+            self.runs.pop();
+            let mut index = first;
+            loop {
+                let staged = self.staged[index];
+                if staged.queued.pin_index != CANCELLED {
+                    self.wheel.push_reserved(
+                        staged.queued.event.time,
+                        staged.serial,
+                        staged.queued,
+                    );
+                    self.waiting -= 1;
+                }
+                index += 1;
+                match self.staged.get(index) {
+                    // A decreasing start begins another run.
+                    Some(next) if next.start < staged.start => break,
+                    Some(next) if !self.due(next.start) => {
+                        self.runs.push(Reverse((next.start, index)));
+                        break;
+                    }
+                    Some(_) => {}
+                    None => break,
+                }
+            }
+        }
+        self.through = if self.waiting == 0 {
+            Time::MAX
+        } else {
+            self.horizon - TimeDelta::from_fs(1)
+        };
+        true
     }
 
     /// Grows the queue's per-pin tables after a circuit edit enlarged the
@@ -250,24 +490,32 @@ impl EventQueue {
     /// clears it back to the freshly constructed condition — the arena-reuse
     /// path behind [`SimState::reshape`](crate::SimState).
     pub(crate) fn reshape_pins(&mut self, pin_count: usize) {
-        self.wheel.reset();
         self.pending.reshape_pins(pin_count);
-        self.scheduled = 0;
-        self.filtered = 0;
-        self.high_water = 0;
+        self.clear();
     }
 
     /// Clears the queue back to its freshly constructed condition while
-    /// keeping every allocation (wheel buckets, per-pin pending slots), so a
-    /// reused [`SimState`](crate::SimState) arena schedules its next run
-    /// without reallocating.
+    /// keeping every allocation (wheel buckets, per-pin pending slots, the
+    /// staging buffer), so a reused [`SimState`](crate::SimState) arena
+    /// schedules its next run without reallocating.
     ///
     /// The serial counter restarts at zero too: equal-time events are
     /// ordered by insertion serial, so a reset queue must hand out the same
     /// serials a fresh queue would for runs to be bit-identical.
     pub fn reset(&mut self) {
-        self.wheel.reset();
         self.pending.reset();
+        self.clear();
+    }
+
+    /// Everything [`reset`](EventQueue::reset) does besides the pending
+    /// lists.
+    fn clear(&mut self) {
+        self.wheel.reset();
+        self.staged.clear();
+        self.runs.clear();
+        self.waiting = 0;
+        self.horizon = Time::MIN;
+        self.through = Time::MAX;
         self.scheduled = 0;
         self.filtered = 0;
         self.high_water = 0;
@@ -279,7 +527,14 @@ impl EventQueue {
     /// without it only under `debug_assertions`.
     #[inline]
     fn pop_raw(&mut self, strict: bool) -> Option<(usize, Event)> {
-        let (time, serial, queued) = self.wheel.pop()?;
+        let (time, serial, queued) = loop {
+            if let Some(entry) = self.wheel.pop_through(self.through) {
+                break entry;
+            }
+            if !self.feed() {
+                return None;
+            }
+        };
         let pin_index = queued.pin_index as usize;
         let front = self.pending.pop_front(pin_index);
         if strict {
@@ -321,17 +576,19 @@ impl EventQueue {
         self.pop_raw(true).map(|(_, event)| event)
     }
 
-    /// Number of live (not cancelled) events still queued.
+    /// Number of pending events: live in the wheel or staged and not yet
+    /// fed.
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.wheel.len() + self.waiting
     }
 
-    /// `true` when no live event remains.
+    /// `true` when no pending event remains.
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.len() == 0
     }
 
-    /// Total number of events that were inserted into the queue.
+    /// Total number of events that were inserted into the queue, staged
+    /// ones included.
     pub fn scheduled(&self) -> usize {
         self.scheduled
     }
@@ -342,148 +599,14 @@ impl EventQueue {
         self.filtered
     }
 
-    /// The largest number of live events the queue held at any instant since
-    /// construction or the last [`reset`](EventQueue::reset) — the
-    /// queue-depth high-water mark of the soak-scenario event-budget
-    /// telemetry.  Sampled after every insertion, so cancellations can never
-    /// hide a peak.
+    /// The largest number of pending events — staged ones included — the
+    /// queue held at any instant since construction or the last
+    /// [`reset`](EventQueue::reset): the queue-depth high-water mark of the
+    /// soak-scenario event-budget telemetry.  Sampled after every
+    /// insertion, so cancellations can never hide a peak, and equal to what
+    /// scheduling the stimulus up front would give.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-}
-
-pub mod reference {
-    //! The original `BinaryHeap` + `HashSet` event queue, kept verbatim as
-    //! an executable reference implementation.
-    //!
-    //! This is **not** used by the engine.  It exists so that
-    //! `tests/queue_properties.rs` can proptest the production
-    //! [`EventQueue`](super::EventQueue) against it (identical pop order
-    //! including equal-time serial tie-breaks, identical scheduled/filtered
-    //! counts, identical behaviour after `reset`), and so the `event_queue`
-    //! benchmark can report the heap-vs-wheel ablation.
-
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashSet, VecDeque};
-
-    use halotis_core::Time;
-
-    use super::ScheduleOutcome;
-    use crate::event::Event;
-
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    struct QueuedEvent {
-        time: Time,
-        serial: u64,
-        pin_index: usize,
-        event: Event,
-    }
-
-    impl Ord for QueuedEvent {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.time, self.serial).cmp(&(other.time, other.serial))
-        }
-    }
-
-    impl PartialOrd for QueuedEvent {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    /// The pre-time-wheel queue: binary heap ordered by `(time, serial)`
-    /// with a `HashSet` of lazily cancelled serials.  Same public surface
-    /// and same observable behaviour as [`EventQueue`](super::EventQueue).
-    #[derive(Clone, Debug)]
-    pub struct ReferenceEventQueue {
-        heap: BinaryHeap<Reverse<QueuedEvent>>,
-        pending: Vec<VecDeque<(Time, u64)>>,
-        cancelled: HashSet<u64>,
-        next_serial: u64,
-        scheduled: usize,
-        filtered: usize,
-    }
-
-    impl ReferenceEventQueue {
-        /// Creates a queue for a circuit with `pin_count` gate input pins.
-        pub fn new(pin_count: usize) -> Self {
-            ReferenceEventQueue {
-                heap: BinaryHeap::new(),
-                pending: vec![VecDeque::new(); pin_count],
-                cancelled: HashSet::new(),
-                next_serial: 0,
-                scheduled: 0,
-                filtered: 0,
-            }
-        }
-
-        /// The Fig. 4 rule, heap edition.
-        pub fn schedule(&mut self, pin_index: usize, event: Event) -> ScheduleOutcome {
-            if let Some(&(previous_time, previous_serial)) = self.pending[pin_index].back() {
-                if event.time <= previous_time {
-                    self.cancelled.insert(previous_serial);
-                    self.pending[pin_index].pop_back();
-                    self.filtered += 1;
-                    return ScheduleOutcome::CancelledPrevious;
-                }
-            }
-            let serial = self.next_serial;
-            self.next_serial += 1;
-            self.pending[pin_index].push_back((event.time, serial));
-            self.heap.push(Reverse(QueuedEvent {
-                time: event.time,
-                serial,
-                pin_index,
-                event,
-            }));
-            self.scheduled += 1;
-            ScheduleOutcome::Inserted
-        }
-
-        /// Clears the queue, restarting serial numbering at zero.
-        pub fn reset(&mut self) {
-            self.heap.clear();
-            for slot in &mut self.pending {
-                slot.clear();
-            }
-            self.cancelled.clear();
-            self.next_serial = 0;
-            self.scheduled = 0;
-            self.filtered = 0;
-        }
-
-        /// Pops the earliest live event, skipping lazily cancelled entries.
-        pub fn pop(&mut self) -> Option<Event> {
-            while let Some(Reverse(entry)) = self.heap.pop() {
-                if self.cancelled.remove(&entry.serial) {
-                    continue;
-                }
-                let front = self.pending[entry.pin_index].pop_front();
-                debug_assert_eq!(front, Some((entry.time, entry.serial)));
-                return Some(entry.event);
-            }
-            None
-        }
-
-        /// Number of live (not cancelled) events still queued.
-        pub fn len(&self) -> usize {
-            self.heap.len() - self.cancelled.len()
-        }
-
-        /// `true` when no live event remains.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Total number of events that were inserted into the queue.
-        pub fn scheduled(&self) -> usize {
-            self.scheduled
-        }
-
-        /// Total number of Fig. 4 cancellations.
-        pub fn filtered(&self) -> usize {
-            self.filtered
-        }
     }
 }
 
@@ -631,6 +754,25 @@ mod tests {
         assert_eq!(queue.pop_indexed().map(|(pin, _)| pin), Some(2));
         assert_eq!(queue.pop_indexed().map(|(pin, _)| pin), Some(4));
         assert_eq!(queue.pop_indexed(), None);
+    }
+
+    #[test]
+    fn stimulus_at_the_end_of_time_is_fed_without_wrapping() {
+        let mut queue = EventQueue::new(2);
+        let late = Time::MAX - TimeDelta::from_fs(1);
+        let last = Event::new(
+            late,
+            PinRef::new(GateId::new(1), 0),
+            LogicLevel::High,
+            TimeDelta::ZERO,
+        );
+        queue.stage(0, event(1.0, 0), Time::from_ns(1.0));
+        // Far past the first window: it waits, and its feed clamps the
+        // horizon at the end of time instead of overflowing.
+        queue.stage(1, last, late);
+        assert_eq!(queue.pop().map(|e| e.time), Some(Time::from_ns(1.0)));
+        assert_eq!(queue.pop().map(|e| e.time), Some(late));
+        assert_eq!(queue.pop(), None);
     }
 
     proptest! {

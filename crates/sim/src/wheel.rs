@@ -36,12 +36,19 @@
 //!   path and an `O(words)` [`reset`](TimeWheel::reset).
 //!
 //! Ordering contract (load-bearing for bit-identical simulation results):
-//! entries pop in ascending `(time, serial)` order, i.e. equal-time entries
-//! pop in insertion order, and [`reset`](TimeWheel::reset) restarts serial
-//! numbering at zero so a reused wheel is indistinguishable from a fresh
-//! one.
+//! entries pop in ascending `(time, serial)` order, and
+//! [`reset`](TimeWheel::reset) restarts serial numbering at zero so a
+//! reused wheel is indistinguishable from a fresh one.
+//! [`push`](TimeWheel::push) numbers an entry as it inserts it, so
+//! equal-time pushes pop in insertion order; the crate-internal
+//! `reserve_serial` hands a number out ahead of its `push_reserved`, which
+//! is how the [`EventQueue`](crate::queue::EventQueue) numbers staged
+//! stimulus before every gate event yet inserts it later.  The queue feeds
+//! that stimulus through `pop_through`, a pop bounded by the feed horizon
+//! that never moves the cursor past the bound's day, so what is fed next
+//! still lands in the ring.
 
-use halotis_core::Time;
+use halotis_core::{Time, TimeDelta};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -50,8 +57,10 @@ use std::collections::BinaryHeap;
 /// events of one delay generation land in a handful of adjacent buckets.
 pub const DEFAULT_SHIFT: u32 = 18;
 
-/// Default ring size: 512 buckets × 262 ps ≈ 134 ns of look-ahead, which
-/// covers entire corpus stimuli without touching the spill list.
+/// Default ring size: 512 buckets × 262 ps ≈ 134 ns of look-ahead — many
+/// gate delays, but much shorter than a long stimulus (the s27 soak spans
+/// 10 µs), which is why the queue feeds stimulus into the wheel one window
+/// at a time rather than all before the first pop.
 pub const DEFAULT_BUCKETS: usize = 512;
 
 /// Null link of the intrusive bucket lists.
@@ -112,10 +121,11 @@ pub struct TimeWheel<T> {
     /// list; entries may still be cancelled while here (skipped on pop).
     drain: Vec<(Time, u64, u32)>,
     /// Entries beyond the ring window as `(time, serial, slot index)` in a
-    /// min-heap.  This is the cold path — only stimulus schedules reaching
-    /// further than the window land here — so heap comparisons are fine,
-    /// and the `O(log n)` insert keeps a monotone far-future stream from
-    /// turning quadratic the way a sorted vector would.
+    /// min-heap.  This is the cold path — the queue feeds stimulus half a
+    /// ring ahead, so only a long gap or a very long delay lands here — so
+    /// heap comparisons are fine, and the `O(log n)` insert keeps a
+    /// monotone far-future stream from turning quadratic the way a sorted
+    /// vector would.
     spill: BinaryHeap<Reverse<(Time, u64, u32)>>,
     /// Dead-serial bitset (popped or cancelled), indexed by serial.  A set
     /// bit means the serial will never pop; entries still physically in a
@@ -237,14 +247,47 @@ impl<T: Copy> TimeWheel<T> {
         unreachable!("in_buckets > 0 guarantees an occupied bucket");
     }
 
-    /// Inserts an entry and returns its serial number (the equal-time
-    /// tie-break key, usable with [`cancel`](TimeWheel::cancel)).
-    pub fn push(&mut self, time: Time, payload: T) -> u64 {
+    /// The time the ring covers ahead of the cursor: bucket count times
+    /// bucket width.
+    pub(crate) fn span(&self) -> TimeDelta {
+        TimeDelta::from_fs((self.mask + 1).saturating_mul(1 << self.shift))
+    }
+
+    /// Hands out the next serial without inserting anything.  An entry
+    /// inserted under it later with
+    /// [`push_reserved`](TimeWheel::push_reserved) pops, at equal times,
+    /// before every entry numbered after this call.
+    pub(crate) fn reserve_serial(&mut self) -> u64 {
         let serial = self.next_serial;
         self.next_serial += 1;
         if (serial >> 6) as usize >= self.dead.len() {
             self.dead.push(0);
         }
+        serial
+    }
+
+    /// Inserts an entry and returns its serial number (the equal-time
+    /// tie-break key, usable with [`cancel`](TimeWheel::cancel)).
+    #[inline(always)]
+    pub fn push(&mut self, time: Time, payload: T) -> u64 {
+        let serial = self.reserve_serial();
+        self.push_reserved(time, serial, payload);
+        serial
+    }
+
+    /// Inserts an entry under a serial from
+    /// [`reserve_serial`](TimeWheel::reserve_serial).  A reserved serial is
+    /// pushed at most once, and only once pushed may it be cancelled.
+    ///
+    /// Always inlined, as are [`push`](TimeWheel::push) and
+    /// [`pop_through`](TimeWheel::pop_through): each has several callers,
+    /// and the event loop's copies must stay inlined.
+    #[inline(always)]
+    pub(crate) fn push_reserved(&mut self, time: Time, serial: u64, payload: T) {
+        debug_assert!(
+            serial < self.next_serial,
+            "serial {serial} was never reserved"
+        );
         // An empty wheel follows the insert wherever it lands, so a run
         // whose events jump backwards between generations (pop everything,
         // schedule earlier) never clamps.
@@ -266,7 +309,6 @@ impl<T: Copy> TimeWheel<T> {
             self.link_into_bucket(((self.cursor_day + offset) & self.mask) as usize, index);
         }
         self.live += 1;
-        serial
     }
 
     /// Cancels an entry by serial.  The entry stays in its bucket until a
@@ -324,6 +366,15 @@ impl<T: Copy> TimeWheel<T> {
     /// `(time, serial, payload)`, discarding any cancelled entries
     /// encountered on the way.
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
+        self.pop_through(Time::MAX)
+    }
+
+    /// [`pop`](TimeWheel::pop) limited to entries at or before `last`:
+    /// `None` while the earliest live entry is later.  The cursor never
+    /// moves past `last`'s day, so entries pushed next after `last` still
+    /// land in the ring.  `pop` is the case `last == Time::MAX`.
+    #[inline(always)]
+    pub(crate) fn pop_through(&mut self, last: Time) -> Option<(Time, u64, T)> {
         if self.live == 0 {
             return None;
         }
@@ -347,35 +398,46 @@ impl<T: Copy> TimeWheel<T> {
 
             // The earliest entry of the cursor day sits at the back of the
             // drain; cancelled entries are discarded as they surface.
-            while let Some((time, serial, index)) = self.drain.pop() {
-                self.free.push(index);
-                if Self::is_dead(&self.dead, serial) {
-                    continue;
+            while let Some(&(time, serial, index)) = self.drain.last() {
+                let live = !Self::is_dead(&self.dead, serial);
+                if live && time > last {
+                    return None;
                 }
-                self.live -= 1;
-                // Popped serials join the dead set so a late cancel() on
-                // them is a detectable no-op.
-                self.dead[(serial >> 6) as usize] |= 1u64 << (serial & 63);
-                let payload = self.slots[index as usize].payload;
-                return Some((time, serial, payload));
+                self.drain.pop();
+                self.free.push(index);
+                if live {
+                    self.live -= 1;
+                    // Popped serials join the dead set so a late cancel() on
+                    // them is a detectable no-op.
+                    self.dead[(serial >> 6) as usize] |= 1u64 << (serial & 63);
+                    let payload = self.slots[index as usize].payload;
+                    return Some((time, serial, payload));
+                }
             }
 
-            // Nothing live at this cursor position: advance.  With an empty
-            // ring, jump straight to the earliest spill day; otherwise jump
-            // to the next occupied bucket, capped at the earliest spill day
-            // so due spill entries still migrate in time order.
-            if self.in_buckets == 0 {
-                let &Reverse((time, _, _)) =
-                    self.spill.peek().expect("live > 0 with an empty ring");
-                self.cursor_day = self.day_of(time);
+            // Nothing live at this cursor position: advance to the next
+            // occupied bucket or the earliest spill day, whichever comes
+            // first, so due spill entries still migrate in time order.
+            let spill_day = self
+                .spill
+                .peek()
+                .map(|&Reverse((time, _, _))| self.day_of(time));
+            let next_day = if self.in_buckets == 0 {
+                spill_day.expect("live > 0 with an empty ring")
             } else {
-                let mut step = self.next_occupied_offset();
-                if let Some(&Reverse((time, _, _))) = self.spill.peek() {
-                    step = step.min(self.day_of(time) - self.cursor_day);
-                }
-                self.cursor_day += step.max(1);
-                self.gather_cursor_bucket();
+                let bucket_day = self.cursor_day + self.next_occupied_offset();
+                spill_day.map_or(bucket_day, |day| day.min(bucket_day))
+            };
+            let last_day = self.day_of(last);
+            if next_day > last_day {
+                // Everything live lies past `last`'s day: stop there.  The
+                // buckets up to it are empty, so the cursor may rest on it
+                // without a gather.
+                self.cursor_day = self.cursor_day.max(last_day);
+                return None;
             }
+            self.cursor_day = next_day;
+            self.gather_cursor_bucket();
         }
     }
 
@@ -551,7 +613,89 @@ mod tests {
         assert_eq!(wheel.slots.len(), 1);
     }
 
+    #[test]
+    fn bounded_pop_stops_at_the_bound_and_keeps_the_cursor_there() {
+        // 64-fs days, 16-day ring.
+        let mut wheel = TimeWheel::with_geometry(6, 16);
+        wheel.push(Time::from_fs(100), 0);
+        wheel.push(Time::from_fs(900), 1);
+        assert_eq!(wheel.pop_through(Time::from_fs(99)), None);
+        assert_eq!(wheel.pop_through(Time::from_fs(100)).map(|e| e.2), Some(0));
+        // The next entry lies nine days past the bound's: the cursor
+        // stops on the bound's day (day 5), not on the entry's.
+        assert_eq!(wheel.pop_through(Time::from_fs(320)), None);
+        assert_eq!(wheel.cursor_day, 5);
+        // A reserved serial handed out before an auto-numbered push pops
+        // first at the same instant, though pushed after it.
+        let reserved = wheel.reserve_serial();
+        let auto = wheel.push(Time::from_fs(900), 3);
+        wheel.push_reserved(Time::from_fs(900), reserved, 2);
+        assert_eq!(
+            drain(&mut wheel),
+            vec![(900, 1, 1), (900, reserved, 2), (900, auto, 3)]
+        );
+    }
+
     proptest! {
+        /// Bounded pops against a sorted-vector model: each
+        /// `pop_through(bound)` round returns exactly the live entries up
+        /// to the bound in `(time, serial)` order and then `None`, without
+        /// moving the cursor past the bound's day.  Some entries are pushed
+        /// under serials reserved before later auto-numbered pushes; on a
+        /// coarse time grid they must pop first at equal times.
+        #[test]
+        fn prop_bounded_pops_match_sorted_reference(
+            ops in proptest::collection::vec((0i64..400, 0u8..4), 1..200),
+            bounds in proptest::collection::vec(0i64..500, 1..8),
+        ) {
+            // 64-fs days over a 16-day ring; times sit on a 1000-fs grid,
+            // so most entries start beyond the ring and equal times are
+            // common.
+            let mut wheel = TimeWheel::with_geometry(6, 16);
+            let mut model: Vec<(i64, u64, u32)> = Vec::new();
+            let mut reserved: Vec<(i64, u64, u32)> = Vec::new();
+            let mut pushed: Vec<u64> = Vec::new();
+            for (index, &(slot, action)) in ops.iter().enumerate() {
+                let time = slot * 1_000;
+                let payload = index as u32;
+                match action {
+                    0 => reserved.push((time, wheel.reserve_serial(), payload)),
+                    1 if !pushed.is_empty() => {
+                        let serial = pushed.swap_remove(index % pushed.len());
+                        prop_assert!(wheel.cancel(serial));
+                        model.retain(|&(_, s, _)| s != serial);
+                    }
+                    _ => {
+                        let serial = wheel.push(Time::from_fs(time), payload);
+                        pushed.push(serial);
+                        model.push((time, serial, payload));
+                    }
+                }
+            }
+            // Reserved entries go in last, newest reservation first.
+            for &(time, serial, payload) in reserved.iter().rev() {
+                wheel.push_reserved(Time::from_fs(time), serial, payload);
+                model.push((time, serial, payload));
+            }
+            model.sort_unstable();
+            let mut bounds = bounds;
+            bounds.sort_unstable();
+            for bound in bounds {
+                let bound = Time::from_fs(bound * 1_000);
+                let cursor = wheel.cursor_day;
+                let popped: Vec<(i64, u64, u32)> =
+                    std::iter::from_fn(|| wheel.pop_through(bound))
+                        .map(|(time, serial, payload)| (time.as_fs(), serial, payload))
+                        .collect();
+                let due = model.partition_point(|&(time, _, _)| time <= bound.as_fs());
+                let expected: Vec<_> = model.drain(..due).collect();
+                prop_assert_eq!(popped, expected);
+                prop_assert!(wheel.cursor_day <= cursor.max(wheel.day_of(bound)));
+                prop_assert_eq!(wheel.len(), model.len());
+            }
+            prop_assert_eq!(drain(&mut wheel), model);
+        }
+
         /// Against a sorted-vector model: identical (time, serial, payload)
         /// pop sequence for arbitrary pushes, including times far outside
         /// the ring window and interleaved cancellations.
