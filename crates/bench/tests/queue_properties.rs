@@ -23,6 +23,7 @@ use halotis::sim::event::Event;
 use halotis::sim::queue::{EventQueue, ScheduleOutcome};
 use halotis_bench::reference::ReferenceEventQueue;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 const PINS: usize = 8;
 
@@ -431,4 +432,110 @@ fn cancelling_removes_exactly_the_pending_event() {
         .map(|e| (e.time.as_fs(), e.pin.gate().index()))
         .collect();
     assert_eq!(popped, vec![(2_000, 0), (3_000, 1)]);
+}
+
+/// One pin's pending list, staged thousands of events deep, is cancelled
+/// from its back over and over — several times in a row, with appends in
+/// between and pops taking its front — and every outcome, length and pop
+/// must match the reference queue.  Most of the list still waits in the
+/// staging buffer when the cancellations start.
+#[test]
+fn deep_pending_list_cancels_from_its_back() {
+    const DEPTH: i64 = 4_000;
+    const SPACING_FS: i64 = 100_000;
+    let mut queue = EventQueue::new(1);
+    let mut reference = ReferenceEventQueue::new(1);
+    // The pin's pending times, front first, as the Fig. 4 rule leaves them.
+    let mut pending = VecDeque::new();
+    /// Offers an event at `time` to both queues, staged or scheduled,
+    /// checks that they agree, and books the outcome in `pending`.
+    fn offer(
+        queue: &mut EventQueue,
+        reference: &mut ReferenceEventQueue,
+        pending: &mut VecDeque<i64>,
+        time: i64,
+        staged: bool,
+    ) {
+        let candidate = event(time, 0);
+        let outcome = if staged {
+            queue.stage(0, candidate, Time::from_fs(time))
+        } else {
+            queue.schedule(0, candidate)
+        };
+        assert_eq!(
+            outcome,
+            reference.schedule(0, candidate),
+            "outcome diverged at {time} fs"
+        );
+        match outcome {
+            ScheduleOutcome::Inserted => pending.push_back(time),
+            ScheduleOutcome::CancelledPrevious => {
+                pending.pop_back();
+            }
+        }
+    }
+    for k in 1..=DEPTH {
+        offer(
+            &mut queue,
+            &mut reference,
+            &mut pending,
+            k * SPACING_FS,
+            true,
+        );
+    }
+    let mut step = 0;
+    while pending.len() > 1 {
+        step += 1;
+        for _ in 0..1 + step % 3 {
+            if let Some(&back) = pending.back() {
+                offer(&mut queue, &mut reference, &mut pending, back, false);
+            }
+        }
+        if step % 2 == 0 {
+            if let Some(&back) = pending.back() {
+                let time = back + SPACING_FS / 2;
+                offer(&mut queue, &mut reference, &mut pending, time, false);
+            }
+        }
+        if step % 4 == 0 {
+            let popped = queue.pop_checked();
+            assert_eq!(popped, reference.pop(), "pop diverged at step {step}");
+            assert_eq!(popped.map(|e| e.time.as_fs()), pending.pop_front());
+        }
+        assert_eq!(queue.len(), reference.len());
+        assert_eq!(queue.len(), pending.len());
+    }
+    let mut last = 0;
+    loop {
+        let popped = queue.pop_checked();
+        assert_eq!(popped, reference.pop());
+        assert_eq!(popped.map(|e| e.time.as_fs()), pending.pop_front());
+        let Some(popped) = popped else { break };
+        last = popped.time.as_fs();
+    }
+    // The drained list must behave like a fresh one, also after a
+    // cancellation leaves one node and a pop takes it.
+    let after = |k: i64| event(last + k * SPACING_FS, 0);
+    for (k, outcome) in [
+        (1, ScheduleOutcome::Inserted),
+        (2, ScheduleOutcome::Inserted),
+        (2, ScheduleOutcome::CancelledPrevious),
+    ] {
+        assert_eq!(queue.schedule(0, after(k)), outcome);
+        assert_eq!(reference.schedule(0, after(k)), outcome);
+    }
+    assert_eq!(queue.pop_checked(), Some(after(1)));
+    assert_eq!(reference.pop(), Some(after(1)));
+    assert_eq!(queue.schedule(0, after(3)), ScheduleOutcome::Inserted);
+    assert_eq!(reference.schedule(0, after(3)), ScheduleOutcome::Inserted);
+    assert_eq!(queue.pop_checked(), Some(after(3)));
+    assert_eq!(reference.pop(), Some(after(3)));
+    assert_eq!(queue.pop_checked(), None);
+    assert_eq!(queue.scheduled(), reference.scheduled());
+    assert_eq!(queue.filtered(), reference.filtered());
+    assert!(
+        queue.filtered() > DEPTH as usize,
+        "{} cancellations",
+        queue.filtered()
+    );
 }

@@ -121,9 +121,15 @@ impl CorpusReport {
 }
 
 /// Runs corpus entries through the observed batch path.
-#[derive(Clone, Copy, Debug)]
+///
+/// The runner owns the [`BatchRunner`] that [`with_threads`](Self::with_threads)
+/// builds, and with it the batch workers' arenas: they survive from entry to
+/// entry, from repeat to repeat and from one [`run`](Self::run) to the next,
+/// each keeping the largest capacity a worker has needed until the runner is
+/// dropped.
+#[derive(Debug)]
 pub struct CorpusRunner {
-    threads: usize,
+    batch: BatchRunner,
     repeats: usize,
 }
 
@@ -131,14 +137,18 @@ impl CorpusRunner {
     /// A runner using every hardware thread and a single timing repeat.
     pub fn new() -> Self {
         CorpusRunner {
-            threads: 0,
+            batch: BatchRunner::new(),
             repeats: 1,
         }
     }
 
     /// Fixes the worker-thread count; `0` selects hardware parallelism.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.batch = if threads == 0 {
+            BatchRunner::new()
+        } else {
+            BatchRunner::with_threads(threads)
+        };
         self
     }
 
@@ -160,11 +170,6 @@ impl CorpusRunner {
     /// samples.  The first scenario failure aborts the run.
     pub fn run(&self, corpus: &[CorpusEntry]) -> Result<CorpusReport, CorpusError> {
         let library = technology::cmos06();
-        let batch = if self.threads == 0 {
-            BatchRunner::new()
-        } else {
-            BatchRunner::with_threads(self.threads)
-        };
         let mut stats = CorpusStats::default();
         let mut timings = Vec::with_capacity(corpus.len());
         let mut hotspots = Vec::new();
@@ -182,7 +187,7 @@ impl CorpusRunner {
             let mut samples = Vec::with_capacity(self.repeats());
             let mut last_report = None;
             for _ in 0..self.repeats() {
-                let report = batch.run_observed(&circuit, &scenarios, |_, _| {
+                let report = self.batch.run_observed(&circuit, &scenarios, |_, _| {
                     (ScenarioObserver::default(), WallClockProbe::new())
                 });
                 samples.push(report.wall_time());

@@ -1,40 +1,19 @@
 //! The fixed worker pool simulations run on.
 //!
-//! Each worker owns one reusable [`SimState`] arena for its whole lifetime:
-//! jobs adopt it via [`CompiledCircuit::adapt_state`], so steady-state
-//! traffic performs no per-request arena allocation no matter which cached
-//! circuit a request targets.  The queue is a bounded [`sync_channel`]:
-//! when it is full, [`Scheduler::try_submit`] reports [`SubmitError::Busy`]
-//! *immediately* — overload surfaces to the client as explicit
-//! backpressure, never as unbounded queueing.
+//! Each worker owns one [`WorkerArena`] for its whole lifetime: jobs adopt
+//! it for their circuit, so steady-state traffic performs no per-request
+//! arena allocation no matter which cached circuit a request targets.  The
+//! queue is a bounded [`sync_channel`]: when it is full,
+//! [`Scheduler::try_submit`] reports [`SubmitError::Busy`] *immediately* —
+//! overload surfaces to the client as explicit backpressure, never as
+//! unbounded queueing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use halotis_sim::{CompiledCircuit, SimState};
-
-/// A worker's private, reusable simulation arena.
-#[derive(Default)]
-pub struct WorkerArena {
-    state: Option<SimState>,
-}
-
-impl WorkerArena {
-    /// Shapes the arena for `circuit` (allocating it on the worker's first
-    /// job) and hands it out.  The adapted state reproduces a fresh
-    /// [`CompiledCircuit::new_state`] bit for bit.
-    pub fn adopt(&mut self, circuit: &CompiledCircuit<'_>) -> &mut SimState {
-        match &mut self.state {
-            Some(state) => {
-                circuit.adapt_state(state);
-                state
-            }
-            slot @ None => slot.insert(circuit.new_state()),
-        }
-    }
-}
+use halotis_sim::WorkerArena;
 
 /// A unit of work for the pool.
 pub type Job = Box<dyn FnOnce(&mut WorkerArena) + Send + 'static>;

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use halotis_corpus::stimuli::pattern_start;
 use halotis_corpus::{ModelColumn, ScenarioObserver, StimulusSuite};
-use halotis_sim::SimulationConfig;
+use halotis_sim::{SimulationConfig, WorkerArena};
 
 use crate::cache::{self, CacheEntry, CircuitCache};
 use crate::frame::{read_frame, write_frame, FrameError};
@@ -684,7 +684,7 @@ fn submit_simulate(
     };
 
     let shared_for_job = Arc::clone(shared);
-    let job = Box::new(move |arena: &mut crate::scheduler::WorkerArena| {
+    let job = Box::new(move |arena: &mut WorkerArena| {
         let outcome = run_simulate(arena, &entry, &suite, model, &config);
         slot.answer(result_frame(&shared_for_job, id, outcome));
     });
@@ -774,7 +774,7 @@ fn validate_suite(
 }
 
 fn run_simulate(
-    arena: &mut crate::scheduler::WorkerArena,
+    arena: &mut WorkerArena,
     entry: &CacheEntry,
     suite: &StimulusSuite,
     model: ModelColumn,

@@ -2,17 +2,23 @@
 //!
 //! Multi-run workloads — the Table 1/2 sweeps, the pulse-width scan,
 //! Monte-Carlo stimulus sets — all share one shape: a fixed circuit, many
-//! `(stimulus, config)` pairs.  [`BatchRunner`] executes such a sweep across
-//! `std::thread::scope` workers that share one immutable
-//! [`CompiledCircuit`]; each worker owns a single
-//! [`SimState`] arena reused for every scenario it picks
-//! up, so the whole batch performs one static preparation and `threads`
-//! arena allocations, total.
+//! `(stimulus, config)` pairs.  [`BatchRunner`] executes such a sweep on
+//! the calling thread plus `threads − 1` `std::thread::scope` helpers that
+//! share one immutable [`CompiledCircuit`]; each worker runs every scenario
+//! it picks up in a single [`SimState`] arena.  The arenas outlive the
+//! batch: the runner keeps them in a pool, and each worker of a later batch
+//! takes one back and points it at that batch's circuit
+//! ([`WorkerArena::adopt`]).  A runner reused across batches therefore
+//! allocates an arena only the first time a worker needs one, and each
+//! pooled arena keeps the largest capacity a worker has needed until the
+//! runner is dropped.
 //!
-//! Results are deterministic: scenarios are independent, so the outcome
-//! vector is identical whatever the thread count — only wall-clock time
-//! changes.
+//! Results are deterministic: scenarios are independent and an adopted
+//! arena reproduces a fresh one bit for bit, so the outcome vector is
+//! identical whatever the thread count and whatever ran before — only
+//! wall-clock time changes.
 
+use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -25,7 +31,7 @@ use crate::config::SimulationConfig;
 use crate::error::SimulationError;
 use crate::observer::SimObserver;
 use crate::result::SimulationResult;
-use crate::state::SimState;
+use crate::state::{SimState, WorkerArena};
 use crate::stats::SimulationStats;
 
 /// One unit of batch work: a stimulus plus the configuration to run it
@@ -186,6 +192,10 @@ impl<O> BatchSummary<ObservedOutcome<O>> {
 
 /// Executes many scenarios against one [`CompiledCircuit`], in parallel.
 ///
+/// The runner owns its workers' arenas and keeps them from batch to batch
+/// (see the [module docs](self)), so a sweep over many circuits should
+/// reuse one runner rather than build one per batch.
+///
 /// # Example
 ///
 /// ```
@@ -213,25 +223,25 @@ impl<O> BatchSummary<ObservedOutcome<O>> {
 /// assert!(report.totals().events_processed > 0);
 /// # Ok::<(), halotis_sim::SimulationError>(())
 /// ```
-#[derive(Clone, Copy, Debug)]
 pub struct BatchRunner {
     threads: NonZeroUsize,
+    /// Arenas kept between batches: each worker of a batch takes one and
+    /// puts it back when the cursor runs dry.
+    arenas: Mutex<Vec<WorkerArena>>,
 }
 
 impl BatchRunner {
     /// A runner using every hardware thread the platform reports (at least
     /// one).
     pub fn new() -> Self {
-        BatchRunner {
-            threads: std::thread::available_parallelism()
-                .unwrap_or(NonZeroUsize::new(1).expect("1 is non-zero")),
-        }
+        Self::with_threads(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
     /// A runner with an explicit worker count; `0` is clamped to `1`.
     pub fn with_threads(threads: usize) -> Self {
         BatchRunner {
             threads: NonZeroUsize::new(threads.max(1)).expect("clamped to at least 1"),
+            arenas: Mutex::default(),
         }
     }
 
@@ -288,6 +298,7 @@ impl BatchRunner {
         F: Fn(usize, &Scenario) -> O + Sync,
     {
         self.execute(
+            circuit,
             scenarios,
             |state, index, scenario| {
                 let mut observer = make_observer(index, scenario);
@@ -304,7 +315,6 @@ impl BatchRunner {
                 }
             },
             |outcome| outcome.stats.as_ref().ok(),
-            || circuit.new_state(),
         )
     }
 
@@ -312,96 +322,77 @@ impl BatchRunner {
     ///
     /// Workers pull scenarios from a shared cursor, so an expensive scenario
     /// does not serialise the rest of the sweep behind it.  Each worker
-    /// reuses one [`SimState`] arena across all scenarios
-    /// it executes.  Failures are recorded per scenario and never abort the
-    /// batch.
+    /// runs every scenario it executes in one pooled [`SimState`] arena.
+    /// Failures are recorded per scenario and never abort the batch.
     pub fn run(&self, circuit: &CompiledCircuit<'_>, scenarios: &[Scenario]) -> BatchReport {
         self.execute(
+            circuit,
             scenarios,
             |state, _, scenario| ScenarioOutcome {
                 label: scenario.label.clone(),
                 result: circuit.run_with(state, &scenario.stimulus, &scenario.config),
             },
             |outcome| outcome.result.as_ref().ok().map(SimulationResult::stats),
-            || circuit.new_state(),
         )
     }
 
     /// The work-stealing driver shared by [`run`](BatchRunner::run) and
-    /// [`run_observed`](BatchRunner::run_observed): workers pull scenario
-    /// indices from an atomic cursor, each reusing one arena (from
-    /// `new_state`) across every scenario it executes, and `job` outcomes
-    /// land in submission order; `stats_of` extracts the per-scenario
+    /// [`run_observed`](BatchRunner::run_observed).  The calling thread is
+    /// worker 0 and spawns `threads − 1` scoped helpers.  Each worker takes
+    /// an arena from the runner's pool (a fresh one if the pool is empty),
+    /// adopts it for `circuit`, pulls scenario indices from an atomic
+    /// cursor until it runs dry, puts the arena back and returns its
+    /// `(index, outcome)` pairs, which the caller sorts into submission
+    /// order after the join.  `stats_of` extracts the per-scenario
     /// statistics (or `None` for a failed scenario) for the aggregates.
-    fn execute<T, F, S, N>(
+    fn execute<T, F, S>(
         &self,
+        circuit: &CompiledCircuit<'_>,
         scenarios: &[Scenario],
         job: F,
         stats_of: S,
-        new_state: N,
     ) -> BatchSummary<T>
     where
         T: Send,
         F: Fn(&mut SimState, usize, &Scenario) -> T + Sync,
         S: Fn(&T) -> Option<&SimulationStats>,
-        N: Fn() -> SimState + Sync,
     {
         let started = Instant::now();
         let threads = self.threads.get().min(scenarios.len()).max(1);
-
-        // Single-worker batches run inline: no thread spawn, no mutex —
-        // spawning a scoped thread and locking per scenario costs more than
-        // an entire small-circuit scenario, and single-thread is the
-        // reference configuration for deterministic timing measurements.
-        if threads == 1 {
-            let mut state = new_state();
-            let outcomes: Vec<T> = scenarios
-                .iter()
-                .enumerate()
-                .map(|(index, scenario)| job(&mut state, index, scenario))
-                .collect();
-            return Self::summarise(outcomes, stats_of, started, threads);
-        }
-
         let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..scenarios.len()).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut state = new_state();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(scenario) = scenarios.get(index) else {
-                            break;
-                        };
-                        let outcome = job(&mut state, index, scenario);
-                        slots.lock().expect("no worker panicked holding the lock")[index] =
-                            Some(outcome);
-                    }
-                });
+        let work = || {
+            let mut arena = self
+                .arenas
+                .lock()
+                .expect(POOL_LOCK)
+                .pop()
+                .unwrap_or_default();
+            let state = arena.adopt(circuit);
+            let mut done = Vec::new();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(scenario) = scenarios.get(index) else {
+                    break;
+                };
+                done.push((index, job(state, index, scenario)));
             }
+            self.arenas.lock().expect(POOL_LOCK).push(arena);
+            done
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for helper in helpers {
+                match helper.join() {
+                    Ok(theirs) => done.extend(theirs),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            done
         });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        let outcomes: Vec<T> = done.into_iter().map(|(_, outcome)| outcome).collect();
 
-        let outcomes: Vec<T> = slots
-            .into_inner()
-            .expect("all workers joined")
-            .into_iter()
-            .map(|slot| slot.expect("every index below the cursor was filled"))
-            .collect();
-        Self::summarise(outcomes, stats_of, started, threads)
-    }
-
-    /// Folds per-scenario outcomes into the aggregate report.
-    fn summarise<T, S>(
-        outcomes: Vec<T>,
-        stats_of: S,
-        started: Instant,
-        threads: usize,
-    ) -> BatchSummary<T>
-    where
-        S: Fn(&T) -> Option<&SimulationStats>,
-    {
         let mut totals = SimulationStats::default();
         let mut succeeded = 0;
         for outcome in &outcomes {
@@ -417,6 +408,17 @@ impl BatchRunner {
             wall_time: started.elapsed(),
             threads,
         }
+    }
+}
+
+/// Why locking the arena pool cannot fail: it is held only to push or pop.
+const POOL_LOCK: &str = "no thread panics while holding the arena pool";
+
+impl fmt::Debug for BatchRunner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BatchRunner")
+            .field("threads", &self.threads)
+            .finish_non_exhaustive()
     }
 }
 
@@ -486,6 +488,64 @@ mod tests {
             assert_eq!(a.stats(), b.stats());
             for (name, waveform) in a.waveforms().iter() {
                 assert_eq!(Some(waveform), b.waveform(name));
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_runner_matches_fresh_arenas_across_circuits() {
+        // One runner's pooled arenas serve a large circuit, then a small
+        // one, then the large one again; every outcome must equal a run on
+        // a fresh `new_state` arena, and the pool never holds more arenas
+        // than the runner has workers (fewer when a helper started after
+        // another worker had already put its arena back).
+        let library = technology::cmos06();
+        let large = generators::multiplier(4, 4);
+        let ports = generators::MultiplierPorts::new(4, 4);
+        let large_circuit = CompiledCircuit::compile(&large, &library).unwrap();
+        let large_scenarios: Vec<Scenario> = (0u64..6)
+            .map(|i| {
+                let mut stimulus = Stimulus::new(library.default_input_slew());
+                for bit in ports.a_refs().iter().chain(ports.b_refs().iter()) {
+                    stimulus.set_initial(*bit, LogicLevel::Low);
+                }
+                for step in 0..12u64 {
+                    let at = Time::from_ns(1.0 + 1.5 * step as f64);
+                    stimulus.drive_bus_value(&ports.a_refs(), (i * 7 + step * 5) % 16, at);
+                    stimulus.drive_bus_value(&ports.b_refs(), (i * 3 + step * 11) % 16, at);
+                }
+                let config = if i % 2 == 0 {
+                    SimulationConfig::ddm()
+                } else {
+                    SimulationConfig::cdm()
+                };
+                Scenario::new(format!("{i}"), stimulus, config)
+            })
+            .collect();
+        let small = generators::inverter_chain(2);
+        let small_circuit = CompiledCircuit::compile(&small, &library).unwrap();
+        let small_scenarios = chain_scenarios(&library, 5);
+        let batches = [
+            (&large_circuit, &large_scenarios),
+            (&small_circuit, &small_scenarios),
+            (&large_circuit, &large_scenarios),
+        ];
+        for threads in 1..=3 {
+            let runner = BatchRunner::with_threads(threads);
+            for (circuit, scenarios) in batches {
+                let report = runner.run(circuit, scenarios);
+                assert_eq!(report.threads(), threads);
+                let pooled = runner.arenas.lock().unwrap().len();
+                assert!((1..=threads).contains(&pooled), "{pooled} arenas pooled");
+                for (scenario, outcome) in scenarios.iter().zip(report.outcomes()) {
+                    let pooled = outcome.result.as_ref().unwrap();
+                    let fresh = circuit.run(&scenario.stimulus, &scenario.config).unwrap();
+                    let context = format!("{threads} threads, scenario {}", outcome.label);
+                    assert_eq!(pooled.stats(), fresh.stats(), "{context}");
+                    for (name, waveform) in fresh.waveforms().iter() {
+                        assert_eq!(pooled.waveform(name), Some(waveform), "{context}");
+                    }
+                }
             }
         }
     }

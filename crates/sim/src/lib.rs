@@ -107,7 +107,7 @@ pub use error::SimulationError;
 pub use event::Event;
 pub use observer::{ActivityCounter, PowerAccumulator, SimObserver, VcdStreamer, WaveformRecorder};
 pub use result::SimulationResult;
-pub use state::SimState;
+pub use state::{SimState, WorkerArena};
 pub use stats::SimulationStats;
 
 // The model vocabulary a configuration needs, re-exported so downstream code

@@ -65,18 +65,25 @@ struct QueuedEvent {
 /// Null link of the pending lists.
 const NIL: u32 = u32::MAX;
 
-/// The per-pin pending FIFOs of the Fig. 4 rule, as linked lists through
-/// one shared node arena.
+// The back link fills what would be padding: a node stays 24 bytes.
+const _: () = assert!(std::mem::size_of::<(Time, u64, u32, u32)>() == 24);
+
+/// The per-pin pending FIFOs of the Fig. 4 rule, as doubly linked lists
+/// through one shared node arena.
 ///
 /// A `Vec<VecDeque<_>>` layout costs one heap buffer per active pin per
 /// state — a few hundred allocations per batch on corpus circuits — while
-/// the arena costs one, reused via a free list.  Per-pin depth is the
-/// number of in-flight events on one input (usually one or two, a handful
-/// for stimulus-fed pins), so the `pop_back` tail walk is short.
+/// the arena costs one, reused via a free list.  A stimulus-fed pin keeps
+/// its whole stimulus pending from set-up on, so the Fig. 4 cancellation
+/// (`pop_back`) follows the tail's back link instead of walking from the
+/// head.
 #[derive(Clone, Debug)]
 struct PendingLists {
-    /// Arena node: `(event time, wheel serial, next toward the back)`.
-    nodes: Vec<(Time, u64, u32)>,
+    /// Arena node: `(event time, wheel serial, next toward the back, previous
+    /// toward the front)`.  The head's previous link goes stale when
+    /// `pop_front` unlinks its predecessor; it is never read, because
+    /// `pop_back` follows the link only from a tail that is not the head.
+    nodes: Vec<(Time, u64, u32, u32)>,
     /// Recycled arena indices.
     free: Vec<u32>,
     /// Per-pin front node (the pop side), [`NIL`] when empty.
@@ -99,14 +106,15 @@ impl PendingLists {
     fn back(&self, pin: usize) -> Option<(Time, u64)> {
         let tail = self.tails[pin];
         (tail != NIL).then(|| {
-            let (time, serial, _) = self.nodes[tail as usize];
+            let (time, serial, _, _) = self.nodes[tail as usize];
             (time, serial)
         })
     }
 
     #[inline(always)]
     fn push_back(&mut self, pin: usize, time: Time, serial: u64) {
-        let node = (time, serial, NIL);
+        let tail = self.tails[pin];
+        let node = (time, serial, NIL, tail);
         let index = match self.free.pop() {
             Some(index) => {
                 self.nodes[index as usize] = node;
@@ -117,7 +125,6 @@ impl PendingLists {
                 (self.nodes.len() - 1) as u32
             }
         };
-        let tail = self.tails[pin];
         if tail == NIL {
             self.heads[pin] = index;
         } else {
@@ -131,7 +138,7 @@ impl PendingLists {
         if head == NIL {
             return None;
         }
-        let (time, serial, next) = self.nodes[head as usize];
+        let (time, serial, next, _) = self.nodes[head as usize];
         self.heads[pin] = next;
         if next == NIL {
             self.tails[pin] = NIL;
@@ -149,12 +156,9 @@ impl PendingLists {
             self.heads[pin] = NIL;
             self.tails[pin] = NIL;
         } else {
-            let mut current = head;
-            while self.nodes[current as usize].2 != tail {
-                current = self.nodes[current as usize].2;
-            }
-            self.nodes[current as usize].2 = NIL;
-            self.tails[pin] = current;
+            let previous = self.nodes[tail as usize].3;
+            self.nodes[previous as usize].2 = NIL;
+            self.tails[pin] = previous;
         }
         self.free.push(tail);
     }

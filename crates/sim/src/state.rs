@@ -174,6 +174,33 @@ impl SimState {
     }
 }
 
+/// A long-lived worker's reusable [`SimState`], pointed at whichever
+/// circuit its next job needs.
+///
+/// Each daemon worker keeps one, and [`BatchRunner`](crate::BatchRunner)
+/// pools one per batch worker, so an arena is allocated on its first job
+/// only and then keeps the largest capacity any of its jobs needed.
+#[derive(Debug, Default)]
+pub struct WorkerArena {
+    state: Option<SimState>,
+}
+
+impl WorkerArena {
+    /// Shapes the arena for `circuit` (allocating it on the first job) and
+    /// hands it out.  The adapted state reproduces a fresh
+    /// [`CompiledCircuit::new_state`](crate::CompiledCircuit::new_state)
+    /// bit for bit.
+    pub fn adopt(&mut self, circuit: &crate::CompiledCircuit<'_>) -> &mut SimState {
+        match &mut self.state {
+            Some(state) => {
+                circuit.adapt_state(state);
+                state
+            }
+            slot @ None => slot.insert(circuit.new_state()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

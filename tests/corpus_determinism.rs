@@ -8,7 +8,7 @@
 //! independent runs *and* across worker-thread counts.
 
 use halotis::core::TimeDelta;
-use halotis::corpus::{standard_corpus, CorpusEntry, CorpusRunner, StimulusSuite};
+use halotis::corpus::{standard_corpus, CorpusEntry, CorpusRunner, CorpusStats, StimulusSuite};
 use halotis::netlist::{generators, technology};
 use proptest::prelude::*;
 
@@ -105,7 +105,10 @@ proptest! {
 }
 
 /// The standard corpus itself — the exact workload behind the committed
-/// golden — reproduces bit-identically across runs and thread counts.
+/// golden — reproduces bit-identically across runs and thread counts, and
+/// across the arena hops of one reused runner: at each thread count, one
+/// runner first serves every entry alone, last entry first (so s27_soak's
+/// large arenas go on to serve small circuits), then the whole corpus.
 #[test]
 fn standard_corpus_document_is_bit_identical_across_runs_and_threads() {
     let corpus = standard_corpus();
@@ -114,21 +117,30 @@ fn standard_corpus_document_is_bit_identical_across_runs_and_threads() {
         .run(&corpus)
         .unwrap()
         .stats;
-    let mut again = CorpusRunner::new()
-        .with_threads(1)
-        .run(&corpus)
-        .unwrap()
-        .stats;
-    let mut four = CorpusRunner::new()
-        .with_threads(4)
-        .run(&corpus)
-        .unwrap()
-        .stats;
     one.strip_timing();
-    again.strip_timing();
-    four.strip_timing();
-    assert_eq!(one.to_json(), again.to_json());
-    assert_eq!(one.to_json(), four.to_json());
+    let expected = one.to_json();
+    for threads in [1, 2, 4] {
+        let runner = CorpusRunner::new().with_threads(threads);
+        let mut reversed = CorpusStats::default();
+        for entry in corpus.iter().rev() {
+            let report = runner.run(std::slice::from_ref(entry)).unwrap();
+            reversed.entries.extend(report.stats.entries);
+        }
+        reversed.entries.reverse();
+        reversed.strip_timing();
+        assert_eq!(
+            reversed.to_json(),
+            expected,
+            "{threads} threads, entry by entry in reverse"
+        );
+        let mut whole = runner.run(&corpus).unwrap().stats;
+        whole.strip_timing();
+        assert_eq!(
+            whole.to_json(),
+            expected,
+            "{threads} threads, whole corpus after the reverse pass"
+        );
+    }
 }
 
 /// The committed golden matches what this tree computes — the same check
