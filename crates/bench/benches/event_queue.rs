@@ -1,8 +1,8 @@
 //! Micro-benchmark of the HALOTIS event queue (a design-choice ablation):
-//! the bucketed time-wheel with serial-bitset lazy
-//! cancellation that implements the Fig. 4 per-input insert/delete rule,
-//! measured against the retired `BinaryHeap` + `HashSet` implementation
-//! (`halotis_bench::reference`) on the same streams.
+//! the bucketed time wheel behind the Fig. 4 per-input insert/delete rule,
+//! whose per-input pending lists alone decide which popped entries are
+//! live, measured against the retired `BinaryHeap` + `HashSet`
+//! implementation (`halotis_bench::reference`) on the same streams.
 //!
 //! Event times use gate-delay spacing (hundreds of picoseconds between
 //! events, matching what the simulation engine actually schedules) rather

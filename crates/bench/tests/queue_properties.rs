@@ -12,11 +12,11 @@
 //! with [`EventQueue::stage`] and fed to the wheel lazily must match the
 //! reference with the same stimulus scheduled up front.
 //!
-//! Drains go through [`EventQueue::pop_checked`]: it asserts in **every**
-//! build profile that each popped entry matches its pin's pending-list
-//! front (plain `pop` only `debug_assert`s it), so `cargo test --release`
-//! still exercises the invariant that ties the time-ordered store to the
-//! per-pin Fig. 4 bookkeeping.
+//! The queue decides liveness in one place: a popped wheel entry counts
+//! only if it is the front of its pin's pending list.  Every drain below
+//! compares each pop (and the live length) with the reference, whose
+//! liveness is a separate `HashSet` of cancelled serials, so a dropped
+//! live event or a returned cancelled one fails in every build profile.
 
 use halotis::core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
 use halotis::sim::event::Event;
@@ -82,7 +82,7 @@ proptest! {
             queue.schedule(pin, event(time, pin));
         }
         let mut previous = Time::MIN;
-        while let Some(popped) = queue.pop_checked() {
+        while let Some(popped) = queue.pop() {
             prop_assert!(popped.time >= previous, "pop went backwards in time");
             previous = popped.time;
         }
@@ -100,7 +100,7 @@ proptest! {
             queue.schedule(pin, event(time, pin));
         }
         let mut last_per_pin = [Time::MIN; PINS];
-        while let Some(popped) = queue.pop_checked() {
+        while let Some(popped) = queue.pop() {
             let pin = popped.pin.gate().index();
             prop_assert!(
                 popped.time > last_per_pin[pin],
@@ -124,7 +124,7 @@ proptest! {
         let expected = reference_schedule(&schedule);
         prop_assert_eq!(queue.len(), expected.len());
         let mut popped = Vec::new();
-        while let Some(event) = queue.pop_checked() {
+        while let Some(event) = queue.pop() {
             popped.push((event.time.as_fs(), event.pin.gate().index()));
         }
         let expected: Vec<(i64, usize)> =
@@ -148,7 +148,7 @@ proptest! {
         }
         prop_assert_eq!(queue.scheduled(), outcomes.0);
         prop_assert_eq!(queue.filtered(), outcomes.1);
-        let popped = std::iter::from_fn(|| queue.pop_checked()).count();
+        let popped = std::iter::from_fn(|| queue.pop()).count();
         prop_assert_eq!(queue.scheduled() - queue.filtered(), popped);
     }
 }
@@ -168,7 +168,7 @@ fn assert_queues_agree(
     let mut heap = ReferenceEventQueue::new(pin_count);
     let mut popped = Vec::new();
     let mut compare_pop = |wheel: &mut EventQueue, heap: &mut ReferenceEventQueue| {
-        let ours = wheel.pop_checked();
+        let ours = wheel.pop();
         let reference = heap.pop();
         assert_eq!(ours, reference, "pop order diverged from the heap queue");
         if let Some(event) = ours {
@@ -231,7 +231,7 @@ proptest! {
             prop_assert_eq!(wheel.schedule(pin, candidate), heap.schedule(pin, candidate));
         }
         for _ in 0..pops_before_reset {
-            prop_assert_eq!(wheel.pop_checked(), heap.pop());
+            prop_assert_eq!(wheel.pop(), heap.pop());
         }
         wheel.reset();
         heap.reset();
@@ -243,7 +243,7 @@ proptest! {
             prop_assert_eq!(wheel.schedule(pin, candidate), heap.schedule(pin, candidate));
         }
         loop {
-            let ours = wheel.pop_checked();
+            let ours = wheel.pop();
             let reference = heap.pop();
             prop_assert_eq!(ours, reference);
             if ours.is_none() {
@@ -314,7 +314,7 @@ proptest! {
         prop_assert_eq!(queue.len(), reference.len());
         let mut scheduled = scheduled.into_iter();
         loop {
-            let ours = queue.pop_checked();
+            let ours = queue.pop();
             prop_assert_eq!(ours, reference.pop());
             let Some(popped) = ours else { break };
             if let Some((pin, delay, how)) = scheduled.next() {
@@ -428,7 +428,7 @@ fn cancelling_removes_exactly_the_pending_event() {
     );
     assert_eq!(queue.len(), 2);
     assert_eq!(queue.filtered(), 1);
-    let popped: Vec<(i64, usize)> = std::iter::from_fn(|| queue.pop_checked())
+    let popped: Vec<(i64, usize)> = std::iter::from_fn(|| queue.pop())
         .map(|e| (e.time.as_fs(), e.pin.gate().index()))
         .collect();
     assert_eq!(popped, vec![(2_000, 0), (3_000, 1)]);
@@ -498,7 +498,7 @@ fn deep_pending_list_cancels_from_its_back() {
             }
         }
         if step % 4 == 0 {
-            let popped = queue.pop_checked();
+            let popped = queue.pop();
             assert_eq!(popped, reference.pop(), "pop diverged at step {step}");
             assert_eq!(popped.map(|e| e.time.as_fs()), pending.pop_front());
         }
@@ -507,7 +507,7 @@ fn deep_pending_list_cancels_from_its_back() {
     }
     let mut last = 0;
     loop {
-        let popped = queue.pop_checked();
+        let popped = queue.pop();
         assert_eq!(popped, reference.pop());
         assert_eq!(popped.map(|e| e.time.as_fs()), pending.pop_front());
         let Some(popped) = popped else { break };
@@ -524,13 +524,13 @@ fn deep_pending_list_cancels_from_its_back() {
         assert_eq!(queue.schedule(0, after(k)), outcome);
         assert_eq!(reference.schedule(0, after(k)), outcome);
     }
-    assert_eq!(queue.pop_checked(), Some(after(1)));
+    assert_eq!(queue.pop(), Some(after(1)));
     assert_eq!(reference.pop(), Some(after(1)));
     assert_eq!(queue.schedule(0, after(3)), ScheduleOutcome::Inserted);
     assert_eq!(reference.schedule(0, after(3)), ScheduleOutcome::Inserted);
-    assert_eq!(queue.pop_checked(), Some(after(3)));
+    assert_eq!(queue.pop(), Some(after(3)));
     assert_eq!(reference.pop(), Some(after(3)));
-    assert_eq!(queue.pop_checked(), None);
+    assert_eq!(queue.pop(), None);
     assert_eq!(queue.scheduled(), reference.scheduled());
     assert_eq!(queue.filtered(), reference.filtered());
     assert!(

@@ -130,11 +130,6 @@ impl<T> BatchSummary<T> {
         &self.outcomes
     }
 
-    /// Consumes the report, yielding the outcomes in submission order.
-    pub fn into_outcomes(self) -> Vec<T> {
-        self.outcomes
-    }
-
     /// Statistics summed over every successful scenario.
     pub fn totals(&self) -> &SimulationStats {
         &self.totals

@@ -18,9 +18,13 @@
 //!
 //! The pending-commit store is the same [`TimeWheel`] the HALOTIS
 //! [`EventQueue`](crate::queue::EventQueue) runs on — one implementation of
-//! time-ordered insert with serial tie-breaks and lazy cancellation, not a
-//! private copy that can drift from the engine's.
+//! time-ordered insert with serial tie-breaks, not a private copy that can
+//! drift from the engine's.  Liveness is this engine's own: a gate can have
+//! several commits in flight, so its pending marker cannot tell which are
+//! live, and a set of cancelled serials is consulted as commits pop — the
+//! rule of the retired heap queue.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use halotis_core::{Capacitance, LogicLevel, NetId, Time, TimeDelta};
@@ -119,6 +123,8 @@ pub fn run(
     let mut pending: Vec<Option<PendingCommit>> = vec![None; netlist.gate_count()];
 
     let mut wheel: TimeWheel<NetCommit> = TimeWheel::new();
+    // Commits the inertial rule cancelled, dropped as they pop.
+    let mut cancelled: HashSet<u64> = HashSet::new();
     let mut stats = SimulationStats::default();
 
     // Primary-input commits at the half-swing crossing of each stimulus edge.
@@ -140,6 +146,9 @@ pub fn run(
     }
 
     while let Some((commit_time, commit_serial, commit)) = wheel.pop() {
+        if !cancelled.is_empty() && cancelled.remove(&commit_serial) {
+            continue;
+        }
         if let Some(limit) = config.time_limit {
             if commit_time > limit {
                 break;
@@ -201,7 +210,11 @@ pub fn run(
                 let width = new_time - previous.time;
                 stats.events_scheduled += 1;
                 if !inertial::decide(width, timing.delay).propagates() {
-                    wheel.cancel(previous.serial);
+                    // `width < delay` means the previous commit lies after
+                    // this instant, so it is still in flight: every
+                    // cancelled serial pops later and leaves the set.
+                    debug_assert!(previous.time > commit_time);
+                    cancelled.insert(previous.serial);
                     pending[gate.id().index()] = None;
                     stats.events_filtered += 2;
                     continue;
@@ -254,6 +267,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use halotis_core::Edge;
     use halotis_netlist::{generators, technology};
 
     fn step_stimulus(library: &Library, at_ns: f64) -> Stimulus {
@@ -319,6 +333,108 @@ mod tests {
         let stimulus = Stimulus::new(library.default_input_slew());
         let err = run(&netlist, &library, &stimulus, &SimulationConfig::cdm()).unwrap_err();
         assert!(matches!(err, SimulationError::UndrivenPrimaryInput { .. }));
+    }
+
+    /// Folds `bytes` into an FNV-1a hash.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Runs the classical engine and returns the seven stats fields in
+    /// declaration order, the number of recorded net transitions, and an
+    /// FNV-1a digest of every net's name and transitions (start and slew
+    /// in fs, edge), net by net.
+    fn fingerprint(netlist: &Netlist, stimulus: &Stimulus) -> ([usize; 7], usize, u64) {
+        let library = technology::cmos06();
+        let result = run(netlist, &library, stimulus, &SimulationConfig::cdm()).unwrap();
+        let stats = result.stats();
+        let mut transitions = 0;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for net in netlist.nets() {
+            fnv1a(&mut digest, net.name().as_bytes());
+            for transition in result.waveform(net.name()).unwrap().transitions() {
+                fnv1a(&mut digest, &transition.start().as_fs().to_le_bytes());
+                fnv1a(&mut digest, &transition.slew().as_fs().to_le_bytes());
+                fnv1a(&mut digest, &[u8::from(transition.edge() == Edge::Rise)]);
+                transitions += 1;
+            }
+        }
+        (
+            [
+                stats.events_scheduled,
+                stats.events_filtered,
+                stats.events_processed,
+                stats.output_transitions,
+                stats.degraded_transitions,
+                stats.collapsed_transitions,
+                stats.queue_high_water,
+            ],
+            transitions,
+            digest,
+        )
+    }
+
+    /// Pins the inertial rule's cancellations: stats and every net's
+    /// transitions for pulse trains narrow enough that the rule cancels
+    /// commits still in flight — 4 on the Fig. 1 circuit, 40 on the 4×4
+    /// multiplier, where some inputs switch at one instant.  A cancelled
+    /// commit always lies after the instant that cancels it (the debug
+    /// assertion in `run` checks every one), so no cancellation can hit a
+    /// commit that already popped, even where a gate's pending marker
+    /// outlives its commit.
+    #[test]
+    fn narrow_pulse_trains_are_pinned() {
+        let library = technology::cmos06();
+        let (netlist, _) = generators::figure1(0.15, 0.85);
+        let mut stimulus = Stimulus::new(library.default_input_slew());
+        stimulus.set_initial("in", LogicLevel::Low);
+        let edges = [1.0, 1.12, 1.37, 1.52, 1.92, 1.98, 2.07, 2.22, 2.37];
+        for (k, ns) in edges.into_iter().enumerate() {
+            let level = if k % 2 == 0 {
+                LogicLevel::High
+            } else {
+                LogicLevel::Low
+            };
+            stimulus.drive("in", Time::from_ns(ns), level);
+        }
+        assert_eq!(
+            fingerprint(&netlist, &stimulus),
+            ([23, 8, 15, 15, 0, 0, 0], 15, 11831260830710860422)
+        );
+
+        let netlist = generators::multiplier(4, 4);
+        let ports = generators::MultiplierPorts::new(4, 4);
+        let mut stimulus = Stimulus::new(library.default_input_slew());
+        for bit in ports.a_refs().iter().chain(ports.b_refs().iter()) {
+            stimulus.set_initial(*bit, LogicLevel::Low);
+        }
+        let a = [
+            (1.0, 0xf),
+            (1.25, 0x2),
+            (1.5, 0x9),
+            (1.9, 0x3),
+            (2.75, 0x5),
+            (3.15, 0xf),
+        ];
+        let b = [
+            (1.05, 0xe),
+            (1.45, 0x3),
+            (1.7, 0x1),
+            (1.9, 0x7),
+            (2.95, 0xf),
+            (3.95, 0x6),
+        ];
+        for ((a_ns, a_value), (b_ns, b_value)) in a.into_iter().zip(b) {
+            stimulus.drive_bus_value(&ports.a_refs(), a_value, Time::from_ns(a_ns));
+            stimulus.drive_bus_value(&ports.b_refs(), b_value, Time::from_ns(b_ns));
+        }
+        assert_eq!(
+            fingerprint(&netlist, &stimulus),
+            ([243, 80, 163, 163, 0, 0, 0], 163, 4509811675160103950)
+        );
     }
 
     #[test]

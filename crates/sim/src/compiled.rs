@@ -365,12 +365,6 @@ impl<'a> CompiledCircuit<'a> {
         &self.net_loads
     }
 
-    /// The threshold voltage of one gate input pin (the per-input `V_T` of
-    /// the paper's Fig. 3).
-    pub fn pin_threshold(&self, pin: PinRef) -> Voltage {
-        self.pin_thresholds[self.pins.index(pin)]
-    }
-
     /// The library timing arcs of one gate input pin.
     pub fn pin_timing(&self, pin: PinRef) -> &PinTiming {
         &self.pin_timing[self.pins.index(pin)]
@@ -417,28 +411,12 @@ impl<'a> CompiledCircuit<'a> {
         )
     }
 
-    /// Grows an existing state arena to match this circuit after edits,
-    /// keeping every untouched row in place (no reallocation unless a
-    /// dimension outgrew its capacity).  Call after
-    /// [`apply_edits`](CompiledCircuit::apply_edits) /
-    /// [`edit`](CompiledCircuit::edit) on every arena that should keep
-    /// serving this circuit.
-    pub fn sync_state(&self, state: &mut SimState) {
-        state.resize(
-            self.pins.len(),
-            self.netlist.gate_count(),
-            self.netlist.net_count(),
-        );
-    }
-
-    /// Reshapes an arbitrary state arena — possibly sized for a *different*
-    /// circuit — to fit this one, clearing all queued work.  Unlike
-    /// [`sync_state`](CompiledCircuit::sync_state), which tracks one
-    /// circuit's in-place edits and therefore insists dimensions never
-    /// shrink, this severs any association with the arena's previous
-    /// circuit: a worker can hold one long-lived arena and point it at
-    /// whichever cached circuit the next job needs.  Runs reset every row
-    /// they read, so results are bit-identical to a fresh
+    /// Reshapes an existing state arena to fit this circuit, keeping its
+    /// allocations and clearing all queued work.  The arena may have been
+    /// sized for this circuit before an [`edit`](CompiledCircuit::edit) or
+    /// for a *different* circuit: a worker can hold one long-lived arena
+    /// and point it at whichever cached circuit the next job needs.  Runs
+    /// reset every row they read, so results are bit-identical to a fresh
     /// [`new_state`](CompiledCircuit::new_state) arena.
     pub fn adapt_state(&self, state: &mut SimState) {
         state.reshape(
@@ -495,8 +473,8 @@ impl<'a> CompiledCircuit<'a> {
     ///
     /// The netlist held by `self` must already carry exactly the mutations
     /// `log` describes (which [`edit`](CompiledCircuit::edit) guarantees).
-    /// Existing [`SimState`] arenas need a
-    /// [`sync_state`](CompiledCircuit::sync_state) call before their next
+    /// Existing [`SimState`] arenas need an
+    /// [`adapt_state`](CompiledCircuit::adapt_state) call before their next
     /// run.
     ///
     /// # Errors

@@ -10,15 +10,16 @@
 //!
 //! * [`queue`] — the event queue with the per-input insert/cancel rule of
 //!   Fig. 4 (an event arriving *before* the pending previous event on the
-//!   same input deletes it: that is where runt pulses die, per input),
+//!   same input deletes it: that is where runt pulses die, per input); its
+//!   per-input pending lists alone decide which queued events are live,
+//!   over the [`wheel`] that orders them,
 //! * [`compiled`] / [`state`] — the compile-once/run-many core: a
 //!   [`CompiledCircuit`] holds every static table in flat arrays, a
 //!   [`SimState`] arena holds the per-run mutable state and is reset (not
 //!   reallocated) between runs,
 //! * [`observer`] — the streaming [`SimObserver`] contract the engine
 //!   drives: the engine executes, observers decide what to retain
-//!   ([`WaveformRecorder`], [`ActivityCounter`], [`VcdStreamer`],
-//!   [`PowerAccumulator`]),
+//!   ([`WaveformRecorder`], [`ActivityCounter`], [`PowerAccumulator`]),
 //! * [`engine`] — the single-shot [`Simulator`] front end over the compiled
 //!   core, executing the simulation algorithm of Fig. 4: pop event, evaluate
 //!   the gate through the configured
@@ -28,7 +29,8 @@
 //!   scenarios across scoped threads sharing one [`CompiledCircuit`],
 //! * [`classical`] — a conventional single-threshold, inertial-delay
 //!   event-driven simulator, the baseline whose wrong behaviour Fig. 1
-//!   demonstrates,
+//!   demonstrates; it shares the wheel but keeps its own set of cancelled
+//!   commits,
 //! * [`ramp`] — output-ramp shaping rules shared by both engines,
 //! * [`stats`] / [`result`] — event counts, filtered-event counts and
 //!   switching activity (Table 1) plus the recorded waveforms (Figs. 6–7).
@@ -105,7 +107,7 @@ pub use config::SimulationConfig;
 pub use engine::Simulator;
 pub use error::SimulationError;
 pub use event::Event;
-pub use observer::{ActivityCounter, PowerAccumulator, SimObserver, VcdStreamer, WaveformRecorder};
+pub use observer::{ActivityCounter, PowerAccumulator, SimObserver, WaveformRecorder};
 pub use result::SimulationResult;
 pub use state::{SimState, WorkerArena};
 pub use stats::SimulationStats;

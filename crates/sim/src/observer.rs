@@ -16,10 +16,6 @@
 //!   net, as [`DigitalWaveform`]s,
 //! * [`ActivityCounter`] — per-net transition counts and the run statistics,
 //!   with **no** waveform allocation (the Table 1 quantities),
-//! * [`VcdStreamer`] — VCD export without retaining ramp waveforms: the
-//!   half-swing projection is folded incrementally and the document is
-//!   written through [`halotis_waveform::vcd::StreamWriter`] at the end of
-//!   the run,
 //! * [`PowerAccumulator`] — switched-capacitance energy totals, computed
 //!   online from the compiled net loads,
 //! * `()` — the null observer, for pure-statistics runs,
@@ -50,12 +46,9 @@
 //! # Ok::<(), halotis_sim::SimulationError>(())
 //! ```
 
-use std::io::{self, Write};
-
 use halotis_core::{Capacitance, GateId, LogicLevel, NetId, PinRef, Time, Voltage};
 use halotis_delay::DelayOutcome;
 use halotis_netlist::Netlist;
-use halotis_waveform::vcd::StreamWriter;
 use halotis_waveform::{DigitalWaveform, Trace, Transition};
 
 use crate::compiled::CompiledCircuit;
@@ -78,8 +71,7 @@ use crate::stats::SimulationStats;
 /// Observers are reusable unless documented otherwise: `begin` re-initialises
 /// all internal state, so one observer instance can serve many runs (the
 /// batch runner relies on this to reuse one observer per worker when the
-/// caller chooses to).  [`VcdStreamer`] is the documented exception — it is
-/// single-use, because a written document cannot be taken back.
+/// caller chooses to).
 pub trait SimObserver {
     /// The run is about to start.  `initial_levels` holds the settled level
     /// of every net, indexed by net id — the same levels a recorded waveform
@@ -320,166 +312,13 @@ impl SimObserver for PowerAccumulator {
     }
 }
 
-/// Streams the run as a VCD document without retaining ramp waveforms.
-///
-/// During the run each transition is folded into the half-swing ideal
-/// projection incrementally — compact `(time, level)` change points instead
-/// of full ramp waveforms.  Nothing reaches the writer until
-/// [`finish`](SimObserver::finish): the paper's per-input cancellation means
-/// an accepted change can still be revoked by a later ramp, so the document
-/// body cannot be flushed mid-run.  At `finish` the header (every net of
-/// the circuit, in declaration order) and the time-merged change points are
-/// written through [`halotis_waveform::vcd::StreamWriter`]; a run that
-/// aborts with an error writes nothing.
-///
-/// The produced document is byte-identical to exporting a recorded result's
-/// full trace with [`halotis_waveform::vcd::write`].
-///
-/// Unlike the other shipped observers, a `VcdStreamer` is **single-use**:
-/// the writer cannot take back an already written document, so a second run
-/// on the same instance is refused (surfaced as an error by
-/// [`into_result`](VcdStreamer::into_result)) instead of appending a second
-/// document.  Create one streamer per run.
-///
-/// I/O errors are deferred: observer callbacks cannot fail, so errors are
-/// captured and surfaced by [`into_result`](VcdStreamer::into_result).
-#[derive(Debug)]
-pub struct VcdStreamer<W: Write> {
-    writer: Option<W>,
-    scope: String,
-    vdd: Voltage,
-    initials: Vec<LogicLevel>,
-    names: Vec<String>,
-    changes: Vec<Vec<(Time, LogicLevel)>>,
-    error: Option<io::Error>,
-    finished: bool,
-}
-
-impl<W: Write> VcdStreamer<W> {
-    /// A streamer writing a document with module name `scope` to `writer`.
-    pub fn new(writer: W, scope: impl Into<String>) -> Self {
-        VcdStreamer {
-            writer: Some(writer),
-            scope: scope.into(),
-            vdd: Voltage::ZERO,
-            initials: Vec::new(),
-            names: Vec::new(),
-            changes: Vec::new(),
-            error: None,
-            finished: false,
-        }
-    }
-
-    /// Consumes the streamer, returning the writer — or the first I/O error
-    /// encountered, or an error when the run never reached
-    /// [`finish`](SimObserver::finish) (so the document body was never
-    /// written).
-    pub fn into_result(self) -> io::Result<W> {
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        if !self.finished {
-            return Err(io::Error::other(
-                "simulation did not finish; VCD body not written",
-            ));
-        }
-        Ok(self.writer.expect("writer present until consumed"))
-    }
-}
-
-impl<W: Write> SimObserver for VcdStreamer<W> {
-    fn begin(&mut self, circuit: &CompiledCircuit<'_>, initial_levels: &[LogicLevel]) {
-        if self.finished {
-            // A document was already written; appending a second one would
-            // corrupt it.  Refuse the run and surface it via into_result.
-            self.writer = None;
-            self.finished = false;
-            self.error = Some(io::Error::other(
-                "VcdStreamer is single-use: create a new streamer per run",
-            ));
-            return;
-        }
-        self.vdd = circuit.vdd();
-        self.initials = initial_levels.to_vec();
-        self.names = circuit
-            .netlist()
-            .nets()
-            .iter()
-            .map(|net| net.name().to_string())
-            .collect();
-        self.changes.clear();
-        self.changes.resize(self.names.len(), Vec::new());
-        self.error = None;
-        self.finished = false;
-    }
-
-    fn on_transition(&mut self, net: NetId, transition: &Transition) {
-        let Some(cross) = transition.crossing_time(self.vdd.half(), self.vdd) else {
-            return;
-        };
-        // Incremental half-swing projection, mirroring
-        // `DigitalWaveform::ideal`: an overtaken change is revoked, a
-        // level-preserving crossing is dropped.
-        let changes = &mut self.changes[net.index()];
-        let target = transition.edge().target_level();
-        while let Some(&(last_time, _)) = changes.last() {
-            if cross <= last_time {
-                changes.pop();
-            } else {
-                break;
-            }
-        }
-        let current = changes
-            .last()
-            .map(|&(_, level)| level)
-            .unwrap_or(self.initials[net.index()]);
-        if current != target {
-            changes.push((cross, target));
-        }
-    }
-
-    fn finish(&mut self, _stats: &SimulationStats) {
-        let Some(writer) = self.writer.take() else {
-            return;
-        };
-        let signals: Vec<(&str, LogicLevel)> = self
-            .names
-            .iter()
-            .map(String::as_str)
-            .zip(self.initials.iter().copied())
-            .collect();
-        let mut events: Vec<(Time, usize, LogicLevel)> = Vec::new();
-        for (index, changes) in self.changes.iter().enumerate() {
-            for &(t, level) in changes {
-                events.push((t, index, level));
-            }
-        }
-        events.sort_by_key(|&(t, index, _)| (t, index));
-
-        let outcome = (|| -> io::Result<W> {
-            let mut stream = StreamWriter::new(writer, &self.scope, &signals)?;
-            for (t, index, level) in events {
-                stream.change(t, index, level)?;
-            }
-            Ok(stream.into_inner())
-        })();
-        match outcome {
-            Ok(writer) => {
-                self.writer = Some(writer);
-                self.finished = true;
-            }
-            Err(error) => self.error = Some(error),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{power, SimulationConfig};
     use halotis_core::Time;
     use halotis_netlist::{generators, technology, Library};
-    use halotis_waveform::{vcd, Stimulus};
+    use halotis_waveform::Stimulus;
 
     fn chain_stimulus(library: &Library) -> Stimulus {
         let mut stimulus = Stimulus::new(library.default_input_slew());
@@ -554,59 +393,6 @@ mod tests {
             accumulator.total_transitions(),
             recorded.total_transitions()
         );
-    }
-
-    #[test]
-    fn vcd_streamer_matches_the_batch_export() {
-        let netlist = generators::inverter_chain(4);
-        let library = technology::cmos06();
-        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
-        let stimulus = chain_stimulus(&library);
-
-        let result = circuit.run(&stimulus, &SimulationConfig::ddm()).unwrap();
-        let batch = vcd::to_string("chain", &result.full_trace());
-
-        let mut streamer = VcdStreamer::new(Vec::new(), "chain");
-        let mut state = circuit.new_state();
-        circuit
-            .run_observed(
-                &mut state,
-                &stimulus,
-                &SimulationConfig::ddm(),
-                &mut streamer,
-            )
-            .unwrap();
-        let streamed = String::from_utf8(streamer.into_result().unwrap()).unwrap();
-        assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn vcd_streamer_reports_unfinished_runs() {
-        let streamer: VcdStreamer<Vec<u8>> = VcdStreamer::new(Vec::new(), "scope");
-        assert!(streamer.into_result().is_err());
-    }
-
-    #[test]
-    fn vcd_streamer_refuses_a_second_run() {
-        let netlist = generators::inverter_chain(2);
-        let library = technology::cmos06();
-        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
-        let stimulus = chain_stimulus(&library);
-        let mut streamer = VcdStreamer::new(Vec::new(), "chain");
-        let mut state = circuit.new_state();
-        for _ in 0..2 {
-            circuit
-                .run_observed(
-                    &mut state,
-                    &stimulus,
-                    &SimulationConfig::ddm(),
-                    &mut streamer,
-                )
-                .unwrap();
-        }
-        // The second run must not append a second document; it is refused.
-        let error = streamer.into_result().unwrap_err();
-        assert!(error.to_string().contains("single-use"), "{error}");
     }
 
     #[test]

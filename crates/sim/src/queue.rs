@@ -14,22 +14,28 @@
 //!   same pulse may survive on other inputs whose thresholds give different
 //!   event times.
 //!
+//! The per-input pending lists are the only record of which events are
+//! live: an event is live exactly while it sits in its input's list.
 //! Storage is a bucketed [`TimeWheel`] (see [`wheel`](crate::wheel)) rather
 //! than a binary heap: simulation timestamps cluster at gate-delay
 //! granularity, so insert is an array index plus a push and pop scans one
-//! small bucket.  Cancellation stays lazy — one bit in a serial-indexed
-//! bitset — so both operations avoid hashing entirely.
+//! small bucket.  A cancellation only unlinks the back of a pending list;
+//! its wheel entry stays put, and the pop loop drops every entry that is
+//! not the front of its input's list.  A live entry always is: each list
+//! is in time order, so its front is the earliest of the input's live
+//! events.  Nothing is hashed on either path.
 //!
 //! Stimulus is **staged**, not scheduled up front.  [`EventQueue::stage`]
 //! applies the same Fig. 4 rule, numbers a surviving event as scheduling it
 //! would and counts it as pending, but only an event whose transition
 //! starts within the current window goes into the wheel at once; a later
-//! one waits in a buffer.  Pops feed the buffer into the wheel half a ring
-//! ahead of the queue's clock, one window at a time, through the wheel's
-//! bounded `pop_through`.  A long stimulus (the s27 soak stages 20,050
-//! events) therefore never crowds the wheel: its pending set spans about
-//! one ring, the range in which a calendar queue stays `O(1)`, instead of
-//! spilling into the far-future heap.  Pop order, counters and the
+//! one waits in a buffer, and is fed even if a cancellation took it off
+//! its pending list meanwhile.  Pops feed the buffer into the wheel half a
+//! ring ahead of the queue's clock, one window at a time, through the
+//! wheel's bounded `pop_through`.  A long stimulus (the s27 soak stages
+//! 20,050 events) therefore never crowds the wheel: its pending set spans
+//! about one ring, the range in which a calendar queue stays `O(1)`,
+//! instead of spilling into the far-future heap.  Pop order, counters and the
 //! high-water mark are exactly those of scheduling the whole stimulus up
 //! front; `crates/bench/tests/queue_properties.rs` checks that against the
 //! retired `BinaryHeap` + `HashSet` queue, which `halotis_bench` keeps as
@@ -81,7 +87,7 @@ const _: () = assert!(std::mem::size_of::<(Time, u64, u32, u32)>() == 24);
 struct PendingLists {
     /// Arena node: `(event time, wheel serial, next toward the back, previous
     /// toward the front)`.  The head's previous link goes stale when
-    /// `pop_front` unlinks its predecessor; it is never read, because
+    /// `pop_front_if` unlinks its predecessor; it is never read, because
     /// `pop_back` follows the link only from a tail that is not the head.
     nodes: Vec<(Time, u64, u32, u32)>,
     /// Recycled arena indices.
@@ -102,13 +108,10 @@ impl PendingLists {
         }
     }
 
-    /// The most recently scheduled pending entry for `pin`.
-    fn back(&self, pin: usize) -> Option<(Time, u64)> {
+    /// The time of the most recently scheduled pending entry for `pin`.
+    fn back(&self, pin: usize) -> Option<Time> {
         let tail = self.tails[pin];
-        (tail != NIL).then(|| {
-            let (time, serial, _, _) = self.nodes[tail as usize];
-            (time, serial)
-        })
+        (tail != NIL).then(|| self.nodes[tail as usize].0)
     }
 
     #[inline(always)]
@@ -133,18 +136,24 @@ impl PendingLists {
         self.tails[pin] = index;
     }
 
-    fn pop_front(&mut self, pin: usize) -> Option<(Time, u64)> {
+    /// Removes `pin`'s front entry if it is the one numbered `serial`:
+    /// `false` when that entry is no longer pending.
+    #[inline(always)]
+    fn pop_front_if(&mut self, pin: usize, serial: u64) -> bool {
         let head = self.heads[pin];
         if head == NIL {
-            return None;
+            return false;
         }
-        let (time, serial, next, _) = self.nodes[head as usize];
+        let (_, front, next, _) = self.nodes[head as usize];
+        if front != serial {
+            return false;
+        }
         self.heads[pin] = next;
         if next == NIL {
             self.tails[pin] = NIL;
         }
         self.free.push(head);
-        Some((time, serial))
+        true
     }
 
     /// Removes the most recently scheduled entry (the Fig. 4 cancellation).
@@ -171,18 +180,9 @@ impl PendingLists {
         self.tails.fill(NIL);
     }
 
-    /// Grows the per-pin tables to `pin_count` empty lists (the pin arena
-    /// never shrinks across circuit edits).
-    fn resize_pins(&mut self, pin_count: usize) {
-        debug_assert!(pin_count >= self.heads.len(), "pin arena never shrinks");
-        self.heads.resize(pin_count, NIL);
-        self.tails.resize(pin_count, NIL);
-    }
-
-    /// Re-dimensions the per-pin tables for an unrelated circuit, dropping
-    /// every queued node: unlike [`resize_pins`](Self::resize_pins) the
-    /// tables may shrink, so any node a vanished slot still referenced must
-    /// go too — hence the full reset.
+    /// Re-dimensions the per-pin tables for another circuit, dropping every
+    /// queued node: the tables may shrink, so any node a vanished slot
+    /// still referenced must go too — hence the full reset.
     fn reshape_pins(&mut self, pin_count: usize) {
         self.nodes.clear();
         self.free.clear();
@@ -200,13 +200,8 @@ struct StagedEvent {
     /// the key the feed walks each run by.
     start: Time,
     serial: u64,
-    /// The event; [`CANCELLED`] as its pin index once the Fig. 4 rule
-    /// removed it before it was fed.
     queued: QueuedEvent,
 }
-
-/// Pin index of a staged event the Fig. 4 rule cancelled before its feed.
-const CANCELLED: u32 = u32::MAX;
 
 /// A feed reaches this fraction of the wheel's ring span past the queue's
 /// clock: half a ring, which leaves the other half for a fed event's
@@ -241,14 +236,14 @@ pub struct EventQueue {
     /// that still has events to feed: the start and index of its next
     /// event, earliest start first.
     runs: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Staged events neither fed nor cancelled.
-    waiting: usize,
     /// Stimulus starting before the horizon is in the wheel; every waiting
     /// event starts at or after it.  [`Time::MIN`] until the first stage.
     horizon: Time,
     /// The latest time the wheel may pop: just before the horizon while
-    /// events wait, [`Time::MAX`] otherwise.
+    /// runs wait, [`Time::MAX`] otherwise.
     through: Time,
+    /// Pending events: the entries of all pending lists.
+    live: usize,
     scheduled: usize,
     filtered: usize,
     high_water: usize,
@@ -262,9 +257,9 @@ impl EventQueue {
             pending: PendingLists::new(pin_count),
             staged: Vec::new(),
             runs: BinaryHeap::new(),
-            waiting: 0,
             horizon: Time::MIN,
             through: Time::MAX,
+            live: 0,
             scheduled: 0,
             filtered: 0,
             high_water: 0,
@@ -359,7 +354,6 @@ impl EventQueue {
                 serial,
                 queued,
             });
-            self.waiting += 1;
             self.through = self.horizon - TimeDelta::from_fs(1);
             serial
         };
@@ -368,57 +362,33 @@ impl EventQueue {
     }
 
     /// The Fig. 4 test: when an event at `time` does not come after the
-    /// input's latest pending event, cancels that event — in the staging
-    /// buffer if it still waits there, in the wheel otherwise — and returns
-    /// `true`.  This and [`inserted`](EventQueue::inserted) serve both
-    /// `schedule` and `stage`, and are always inlined so `schedule`, the
-    /// event loop's, stays one function.
+    /// input's latest pending event, takes that event off the pending list
+    /// — wherever its entry is, wheel or staging buffer, the pop loop will
+    /// drop it — and returns `true`.  This and
+    /// [`inserted`](EventQueue::inserted) serve both `schedule` and
+    /// `stage`, and are always inlined so `schedule`, the event loop's,
+    /// stays one function.
     #[inline(always)]
     fn cancels_previous(&mut self, pin_index: usize, time: Time) -> bool {
-        let Some((previous_time, previous_serial)) = self.pending.back(pin_index) else {
-            return false;
-        };
-        if time > previous_time {
-            return false;
+        match self.pending.back(pin_index) {
+            Some(previous_time) if time <= previous_time => {
+                self.pending.pop_back(pin_index);
+                self.live -= 1;
+                self.filtered += 1;
+                true
+            }
+            _ => false,
         }
-        let staged = self
-            .staged
-            .last()
-            .is_some_and(|last| previous_serial <= last.serial);
-        if !(staged && self.cancel_waiting(previous_serial)) {
-            self.wheel.cancel(previous_serial);
-        }
-        self.pending.pop_back(pin_index);
-        self.filtered += 1;
-        true
     }
 
-    /// Cancels a staged event still waiting to be fed; `false` when
-    /// `serial` is not one.
-    #[cold]
-    #[inline(never)]
-    fn cancel_waiting(&mut self, serial: u64) -> bool {
-        let Ok(index) = self
-            .staged
-            .binary_search_by_key(&serial, |staged| staged.serial)
-        else {
-            return false;
-        };
-        if self.due(self.staged[index].start) {
-            return false;
-        }
-        self.staged[index].queued.pin_index = CANCELLED;
-        self.waiting -= 1;
-        true
-    }
-
-    /// Books an inserted event: the input's pending list, the counter and
+    /// Books an inserted event: the input's pending list, the counters and
     /// the high-water mark.
     #[inline(always)]
     fn inserted(&mut self, pin_index: usize, time: Time, serial: u64) {
         self.pending.push_back(pin_index, time, serial);
+        self.live += 1;
         self.scheduled += 1;
-        self.high_water = self.high_water.max(self.len());
+        self.high_water = self.high_water.max(self.live);
     }
 
     /// How far a feed reaches past the queue's clock.
@@ -433,10 +403,10 @@ impl EventQueue {
         start < self.horizon || self.horizon == Time::MAX
     }
 
-    /// Called when the wheel holds nothing live up to `through`: moves the
+    /// Called when the wheel holds nothing up to `through`: moves the
     /// horizon one window past the later of itself and the earliest unfed
     /// start, pushes every waiting event whose transition starts before it
-    /// into the wheel, and lifts the bound once nothing waits.  `false`
+    /// into the wheel, and lifts the bound once no run waits.  `false`
     /// when the bound was already lifted, so the queue is empty.
     #[cold]
     #[inline(never)]
@@ -444,7 +414,6 @@ impl EventQueue {
         if self.through == Time::MAX {
             return false;
         }
-        // Cancelled events keep their runs, so a bounded queue has one.
         let &Reverse((next_start, _)) = self.runs.peek().expect("a bounded queue has staged runs");
         self.horizon = self.horizon.max(next_start).saturating_add(self.window());
         while let Some(&Reverse((start, first))) = self.runs.peek() {
@@ -455,14 +424,8 @@ impl EventQueue {
             let mut index = first;
             loop {
                 let staged = self.staged[index];
-                if staged.queued.pin_index != CANCELLED {
-                    self.wheel.push_reserved(
-                        staged.queued.event.time,
-                        staged.serial,
-                        staged.queued,
-                    );
-                    self.waiting -= 1;
-                }
+                self.wheel
+                    .push_reserved(staged.queued.event.time, staged.serial, staged.queued);
                 index += 1;
                 match self.staged.get(index) {
                     // A decreasing start begins another run.
@@ -476,7 +439,7 @@ impl EventQueue {
                 }
             }
         }
-        self.through = if self.waiting == 0 {
+        self.through = if self.runs.is_empty() {
             Time::MAX
         } else {
             self.horizon - TimeDelta::from_fs(1)
@@ -484,13 +447,7 @@ impl EventQueue {
         true
     }
 
-    /// Grows the queue's per-pin tables after a circuit edit enlarged the
-    /// pin arena.  Existing slots (and any queued events) are untouched.
-    pub(crate) fn resize_pins(&mut self, pin_count: usize) {
-        self.pending.resize_pins(pin_count);
-    }
-
-    /// Re-dimensions the queue for an unrelated circuit (shrink allowed) and
+    /// Re-dimensions the queue for another circuit (shrink allowed) and
     /// clears it back to the freshly constructed condition — the arena-reuse
     /// path behind [`SimState::reshape`](crate::SimState).
     pub(crate) fn reshape_pins(&mut self, pin_count: usize) {
@@ -517,73 +474,46 @@ impl EventQueue {
         self.wheel.reset();
         self.staged.clear();
         self.runs.clear();
-        self.waiting = 0;
         self.horizon = Time::MIN;
         self.through = Time::MAX;
+        self.live = 0;
         self.scheduled = 0;
         self.filtered = 0;
         self.high_water = 0;
     }
 
-    /// The raw pop shared by the public variants: earliest live entry plus
-    /// the bookkeeping key the pending-slot invariant is stated over.  With
-    /// `strict` the pending-front invariant holds in every build profile,
-    /// without it only under `debug_assertions`.
-    #[inline]
-    fn pop_raw(&mut self, strict: bool) -> Option<(usize, Event)> {
-        let (time, serial, queued) = loop {
-            if let Some(entry) = self.wheel.pop_through(self.through) {
-                break entry;
-            }
-            if !self.feed() {
-                return None;
-            }
-        };
-        let pin_index = queued.pin_index as usize;
-        let front = self.pending.pop_front(pin_index);
-        if strict {
-            assert_eq!(
-                front,
-                Some((time, serial)),
-                "popped entry desynchronised from pin {pin_index}'s pending front"
-            );
-        } else {
-            debug_assert_eq!(front, Some((time, serial)));
-        }
-        Some((pin_index, queued.event))
-    }
-
-    /// Pops the earliest live event, skipping lazily cancelled entries.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.pop_raw(false).map(|(_, event)| event)
-    }
-
     /// Pops the earliest live event together with the dense pin index it was
     /// scheduled for — the engine's hot-loop entry point, saving it the
     /// `PinRef` → dense re-resolution.
+    ///
+    /// Takes the earliest wheel entry, feeding staged stimulus when the
+    /// wheel runs dry, and returns it if it is its pin's pending front;
+    /// any other entry was cancelled and is dropped.
+    #[inline]
     pub fn pop_indexed(&mut self) -> Option<(usize, Event)> {
-        self.pop_raw(false)
+        loop {
+            let Some((_, serial, queued)) = self.wheel.pop_through(self.through) else {
+                if self.feed() {
+                    continue;
+                }
+                return None;
+            };
+            let pin_index = queued.pin_index as usize;
+            if self.pending.pop_front_if(pin_index, serial) {
+                self.live -= 1;
+                return Some((pin_index, queued.event));
+            }
+        }
     }
 
-    /// [`pop`](EventQueue::pop), but asserting in **every** build profile
-    /// that the popped entry matches its pin's pending-slot front — the
-    /// invariant that ties the time-ordered store to the per-pin Fig. 4
-    /// bookkeeping.  `pop` itself only `debug_assert`s this; the
-    /// queue-properties test suite drives `pop_checked` so release-mode
-    /// refactors of the store cannot desynchronise the two silently.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the popped entry is not the front of its pin's pending
-    /// queue (a queue-implementation bug, never a caller error).
-    pub fn pop_checked(&mut self) -> Option<Event> {
-        self.pop_raw(true).map(|(_, event)| event)
+    /// Pops the earliest live event.
+    pub fn pop(&mut self) -> Option<Event> {
+        self.pop_indexed().map(|(_, event)| event)
     }
 
-    /// Number of pending events: live in the wheel or staged and not yet
-    /// fed.
+    /// Number of pending events, staged ones included.
     pub fn len(&self) -> usize {
-        self.wheel.len() + self.waiting
+        self.live
     }
 
     /// `true` when no pending event remains.
@@ -676,6 +606,37 @@ mod tests {
             queue.schedule(0, event(2.0, 0)),
             ScheduleOutcome::CancelledPrevious
         );
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn cancelled_entries_never_pop_and_len_tracks_live() {
+        let mut queue = EventQueue::new(2);
+        queue.schedule(0, event(1.0, 0));
+        queue.schedule(1, event(2.0, 1));
+        // Cancels the 1.0 ns event, whose wheel entry surfaces first and is
+        // dropped.
+        queue.schedule(0, event(0.5, 0));
+        assert_eq!(queue.len(), 1);
+        assert_eq!(
+            queue.pop_indexed().map(|(pin, e)| (pin, e.time)),
+            Some((1, Time::from_ns(2.0)))
+        );
+        assert!(queue.is_empty());
+        assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
+    fn cancelled_spill_entry_never_pops() {
+        let mut queue = EventQueue::new(2);
+        queue.schedule(0, event(1.0, 0));
+        // A millisecond out, far beyond the ring: the entry waits in the
+        // wheel's spill heap, and is dropped when it migrates back.
+        queue.schedule(1, event(1.0e6, 1));
+        queue.schedule(1, event(1.0e6, 1));
+        assert_eq!(queue.len(), 1);
+        assert_eq!(queue.pop().map(|e| e.time), Some(Time::from_ns(1.0)));
+        assert_eq!(queue.pop(), None);
         assert!(queue.is_empty());
     }
 

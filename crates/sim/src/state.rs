@@ -101,30 +101,11 @@ impl SimState {
         self.net_count
     }
 
-    /// Resizes the arena for an edited circuit, keeping every untouched row
-    /// in place — no reallocation happens unless a dimension actually grew
-    /// past its capacity.  The pin arena never shrinks (freed pin blocks
-    /// stay as holes); gate and net counts move in either direction.
-    pub(crate) fn resize(&mut self, pin_count: usize, gate_count: usize, net_count: usize) {
-        debug_assert!(
-            pin_count >= self.pin_levels.len(),
-            "pin arena never shrinks"
-        );
-        self.pin_levels.resize(pin_count, LogicLevel::Unknown);
-        self.output_target.resize(gate_count, LogicLevel::Unknown);
-        self.last_output_start.resize(gate_count, NO_PREVIOUS_RAMP);
-        self.net_count = net_count;
-        self.queue.resize_pins(pin_count);
-    }
-
-    /// Re-dimensions the arena for a possibly unrelated circuit, shrinking
-    /// or growing freely and discarding all queued work.  This is the
-    /// cross-circuit counterpart of [`resize`](Self::resize): `resize`
-    /// follows one circuit's in-place edits (where the pin arena never
-    /// shrinks because freed pin blocks stay as holes), while `reshape`
-    /// retargets a long-lived worker arena at whatever circuit comes next.
-    /// Every run resets the rows it reads, so a reshaped arena produces
-    /// bit-identical results to a freshly allocated one.
+    /// Re-dimensions the arena for any circuit — the same one after edits
+    /// or an unrelated one — shrinking or growing freely and discarding all
+    /// queued work, while keeping the allocations.  Every run resets the
+    /// rows it reads, so a reshaped arena produces bit-identical results to
+    /// a freshly allocated one.
     pub(crate) fn reshape(&mut self, pin_count: usize, gate_count: usize, net_count: usize) {
         self.pin_levels.clear();
         self.pin_levels.resize(pin_count, LogicLevel::Unknown);

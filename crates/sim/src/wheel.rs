@@ -1,5 +1,5 @@
-//! A bucketed time wheel (calendar queue) with serial-numbered lazy
-//! cancellation — the priority-queue core shared by the HALOTIS
+//! A bucketed time wheel (calendar queue) over `(time, serial)` keys — the
+//! priority-queue core shared by the HALOTIS
 //! [`EventQueue`](crate::queue::EventQueue) and the classical simulator.
 //!
 //! Event-driven gate-level simulation produces timestamps that cluster at
@@ -28,12 +28,13 @@
 //! * entries at or before the cursor (the engine schedules at the current
 //!   instant, never into the past of the *popped* horizon, but an earlier
 //!   time than the cursor's day start is legal) are inserted directly into
-//!   the drain at their sorted position, keeping their true timestamp,
-//! * cancellation is lazy via a serial-indexed bitset: every insert is
-//!   numbered, [`cancel`](TimeWheel::cancel) flips one bit, and cancelled
-//!   entries are unlinked when a scan encounters them.  This replaces the
-//!   `HashSet<u64>` of the original implementation — no hashing on the hot
-//!   path and an `O(words)` [`reset`](TimeWheel::reset).
+//!   the drain at their sorted position, keeping their true timestamp.
+//!
+//! The wheel has no cancellation: every entry pushed is popped.  Its users
+//! decide which popped entries still count — the
+//! [`EventQueue`](crate::queue::EventQueue) by its per-input pending lists,
+//! the [`classical`](crate::classical) simulator by its set of cancelled
+//! serials — and drop the rest.
 //!
 //! Ordering contract (load-bearing for bit-identical simulation results):
 //! entries pop in ascending `(time, serial)` order, and
@@ -87,11 +88,12 @@ struct WheelSlot<T> {
 /// let mut wheel: TimeWheel<&str> = TimeWheel::new();
 /// wheel.push(Time::from_ns(2.0), "late");
 /// let early = wheel.push(Time::from_ns(1.0), "early");
-/// let doomed = wheel.push(Time::from_ns(1.5), "cancelled");
-/// wheel.cancel(doomed);
-/// assert_eq!(wheel.len(), 2);
+/// let tied = wheel.push(Time::from_ns(2.0), "tied");
+/// assert_eq!(wheel.len(), 3);
 /// assert_eq!(wheel.pop(), Some((Time::from_ns(1.0), early, "early")));
+/// // Equal times pop in push order.
 /// assert_eq!(wheel.pop().map(|(_, _, p)| p), Some("late"));
+/// assert_eq!(wheel.pop(), Some((Time::from_ns(2.0), tied, "tied")));
 /// assert_eq!(wheel.pop(), None);
 /// ```
 #[derive(Clone, Debug)]
@@ -118,7 +120,7 @@ pub struct TimeWheel<T> {
     /// The cursor day's entries as `(time, serial, slot index)`, sorted
     /// descending by `(time, serial)` so the earliest pops off the back in
     /// `O(1)`.  Filled once per cursor position by gathering the bucket
-    /// list; entries may still be cancelled while here (skipped on pop).
+    /// list.
     drain: Vec<(Time, u64, u32)>,
     /// Entries beyond the ring window as `(time, serial, slot index)` in a
     /// min-heap.  This is the cold path — the queue feeds stimulus half a
@@ -127,17 +129,13 @@ pub struct TimeWheel<T> {
     /// monotone far-future stream from turning quadratic the way a sorted
     /// vector would.
     spill: BinaryHeap<Reverse<(Time, u64, u32)>>,
-    /// Dead-serial bitset (popped or cancelled), indexed by serial.  A set
-    /// bit means the serial will never pop; entries still physically in a
-    /// bucket with their bit set are unlinked lazily when a scan meets them.
-    dead: Vec<u64>,
     /// Next insertion serial; equal-time entries pop in serial order.
     next_serial: u64,
-    /// Entries physically linked into ring bucket lists (live or
-    /// cancelled); the drain buffer is not counted.
+    /// Entries linked into ring bucket lists; the drain buffer is not
+    /// counted.
     in_buckets: usize,
-    /// Live (not cancelled, not popped) entries, ring and spill together.
-    live: usize,
+    /// Entries pushed and not yet popped: ring, drain and spill together.
+    held: usize,
 }
 
 impl<T: Copy> TimeWheel<T> {
@@ -169,10 +167,9 @@ impl<T: Copy> TimeWheel<T> {
             cursor_day: 0,
             drain: Vec::new(),
             spill: BinaryHeap::new(),
-            dead: Vec::new(),
             next_serial: 0,
             in_buckets: 0,
-            live: 0,
+            held: 0,
         }
     }
 
@@ -181,11 +178,6 @@ impl<T: Copy> TimeWheel<T> {
     #[inline]
     fn day_of(&self, time: Time) -> i64 {
         time.as_fs() >> self.shift
-    }
-
-    #[inline]
-    fn is_dead(dead: &[u64], serial: u64) -> bool {
-        dead[(serial >> 6) as usize] & (1u64 << (serial & 63)) != 0
     }
 
     /// Takes a slot from the free list or grows the arena.
@@ -260,14 +252,11 @@ impl<T: Copy> TimeWheel<T> {
     pub(crate) fn reserve_serial(&mut self) -> u64 {
         let serial = self.next_serial;
         self.next_serial += 1;
-        if (serial >> 6) as usize >= self.dead.len() {
-            self.dead.push(0);
-        }
         serial
     }
 
     /// Inserts an entry and returns its serial number (the equal-time
-    /// tie-break key, usable with [`cancel`](TimeWheel::cancel)).
+    /// tie-break key, handed back by the pop that returns the entry).
     #[inline(always)]
     pub fn push(&mut self, time: Time, payload: T) -> u64 {
         let serial = self.reserve_serial();
@@ -277,7 +266,7 @@ impl<T: Copy> TimeWheel<T> {
 
     /// Inserts an entry under a serial from
     /// [`reserve_serial`](TimeWheel::reserve_serial).  A reserved serial is
-    /// pushed at most once, and only once pushed may it be cancelled.
+    /// pushed at most once.
     ///
     /// Always inlined, as are [`push`](TimeWheel::push) and
     /// [`pop_through`](TimeWheel::pop_through): each has several callers,
@@ -308,35 +297,16 @@ impl<T: Copy> TimeWheel<T> {
         } else {
             self.link_into_bucket(((self.cursor_day + offset) & self.mask) as usize, index);
         }
-        self.live += 1;
+        self.held += 1;
     }
 
-    /// Cancels an entry by serial.  The entry stays in its bucket until a
-    /// scan unlinks it (lazy deletion).
-    ///
-    /// Returns `true` when the serial was live, `false` when it was already
-    /// popped or cancelled — in which case this is a no-op, mirroring the
-    /// tolerance of a `HashSet`-based tombstone (the classical engine's
-    /// pending markers can legitimately outlive their commit).
-    pub fn cancel(&mut self, serial: u64) -> bool {
-        let word = (serial >> 6) as usize;
-        let bit = 1u64 << (serial & 63);
-        if self.dead[word] & bit != 0 {
-            return false;
-        }
-        self.dead[word] |= bit;
-        self.live -= 1;
-        true
-    }
-
-    /// Moves the cursor bucket's list into the drain buffer: cancelled
-    /// entries are freed, survivors are sorted descending by
-    /// `(time, serial)` so the earliest pops off the back.  Called exactly
-    /// once per cursor position (the drain is empty at that moment); every
-    /// entry here has `day == cursor_day` — future-rotation aliasing is
-    /// impossible because the cursor visits each bucket exactly once per
-    /// window and inserts never target a bucket the cursor has already
-    /// passed in the current rotation.
+    /// Moves the cursor bucket's list into the drain buffer, sorted
+    /// descending by `(time, serial)` so the earliest pops off the back.
+    /// Called exactly once per cursor position (the drain is empty at that
+    /// moment); every entry here has `day == cursor_day` — future-rotation
+    /// aliasing is impossible because the cursor visits each bucket exactly
+    /// once per window and inserts never target a bucket the cursor has
+    /// already passed in the current rotation.
     fn gather_cursor_bucket(&mut self) {
         let bucket = (self.cursor_day & self.mask) as usize;
         let mut current = self.heads[bucket];
@@ -349,11 +319,7 @@ impl<T: Copy> TimeWheel<T> {
             let slot = &self.slots[current as usize];
             let next = slot.next;
             self.in_buckets -= 1;
-            if Self::is_dead(&self.dead, slot.serial) {
-                self.free.push(current);
-            } else {
-                self.drain.push((slot.time, slot.serial, current));
-            }
+            self.drain.push((slot.time, slot.serial, current));
             current = next;
         }
         self.drain
@@ -362,20 +328,18 @@ impl<T: Copy> TimeWheel<T> {
             });
     }
 
-    /// Removes and returns the earliest live entry as
-    /// `(time, serial, payload)`, discarding any cancelled entries
-    /// encountered on the way.
+    /// Removes and returns the earliest entry as `(time, serial, payload)`.
     pub fn pop(&mut self) -> Option<(Time, u64, T)> {
         self.pop_through(Time::MAX)
     }
 
     /// [`pop`](TimeWheel::pop) limited to entries at or before `last`:
-    /// `None` while the earliest live entry is later.  The cursor never
+    /// `None` while the earliest entry is later.  The cursor never
     /// moves past `last`'s day, so entries pushed next after `last` still
     /// land in the ring.  `pop` is the case `last == Time::MAX`.
     #[inline(always)]
     pub(crate) fn pop_through(&mut self, last: Time) -> Option<(Time, u64, T)> {
-        if self.live == 0 {
+        if self.held == 0 {
             return None;
         }
         loop {
@@ -387,35 +351,25 @@ impl<T: Copy> TimeWheel<T> {
                     break;
                 }
                 self.spill.pop();
-                if Self::is_dead(&self.dead, serial) {
-                    self.free.push(index);
-                    continue;
-                }
                 let key = (time, serial);
                 let at = self.drain.partition_point(|&(t, s, _)| (t, s) > key);
                 self.drain.insert(at, (time, serial, index));
             }
 
             // The earliest entry of the cursor day sits at the back of the
-            // drain; cancelled entries are discarded as they surface.
-            while let Some(&(time, serial, index)) = self.drain.last() {
-                let live = !Self::is_dead(&self.dead, serial);
-                if live && time > last {
+            // drain.
+            if let Some(&(time, serial, index)) = self.drain.last() {
+                if time > last {
                     return None;
                 }
                 self.drain.pop();
                 self.free.push(index);
-                if live {
-                    self.live -= 1;
-                    // Popped serials join the dead set so a late cancel() on
-                    // them is a detectable no-op.
-                    self.dead[(serial >> 6) as usize] |= 1u64 << (serial & 63);
-                    let payload = self.slots[index as usize].payload;
-                    return Some((time, serial, payload));
-                }
+                self.held -= 1;
+                let payload = self.slots[index as usize].payload;
+                return Some((time, serial, payload));
             }
 
-            // Nothing live at this cursor position: advance to the next
+            // Nothing left at this cursor position: advance to the next
             // occupied bucket or the earliest spill day, whichever comes
             // first, so due spill entries still migrate in time order.
             let spill_day = self
@@ -423,14 +377,14 @@ impl<T: Copy> TimeWheel<T> {
                 .peek()
                 .map(|&Reverse((time, _, _))| self.day_of(time));
             let next_day = if self.in_buckets == 0 {
-                spill_day.expect("live > 0 with an empty ring")
+                spill_day.expect("held > 0 with an empty ring")
             } else {
                 let bucket_day = self.cursor_day + self.next_occupied_offset();
                 spill_day.map_or(bucket_day, |day| day.min(bucket_day))
             };
             let last_day = self.day_of(last);
             if next_day > last_day {
-                // Everything live lies past `last`'s day: stop there.  The
+                // Everything left lies past `last`'s day: stop there.  The
                 // buckets up to it are empty, so the cursor may rest on it
                 // without a gather.
                 self.cursor_day = self.cursor_day.max(last_day);
@@ -441,14 +395,14 @@ impl<T: Copy> TimeWheel<T> {
         }
     }
 
-    /// Number of live entries.
+    /// Number of entries pushed and not yet popped.
     pub fn len(&self) -> usize {
-        self.live
+        self.held
     }
 
-    /// `true` when no live entry remains.
+    /// `true` when every entry pushed has been popped.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.held == 0
     }
 
     /// The serial the next [`push`](TimeWheel::push) will hand out.
@@ -457,8 +411,8 @@ impl<T: Copy> TimeWheel<T> {
     }
 
     /// Clears the wheel back to its freshly constructed condition while
-    /// keeping every allocation (slot arena, ring heads, spill storage,
-    /// bitset words).  Serial numbering restarts at zero — see the module
+    /// keeping every allocation (slot arena, ring heads, drain and spill
+    /// storage).  Serial numbering restarts at zero — see the module
     /// docs for why that is part of the ordering contract.
     pub fn reset(&mut self) {
         self.slots.clear();
@@ -467,11 +421,10 @@ impl<T: Copy> TimeWheel<T> {
         self.occupancy.fill(0);
         self.drain.clear();
         self.spill.clear();
-        self.dead.clear();
         self.next_serial = 0;
         self.cursor_day = 0;
         self.in_buckets = 0;
-        self.live = 0;
+        self.held = 0;
     }
 }
 
@@ -526,41 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_entries_never_pop_and_len_tracks_live() {
-        let mut wheel = TimeWheel::new();
-        let a = wheel.push(Time::from_fs(100), 0);
-        let b = wheel.push(Time::from_fs(200), 1);
-        wheel.cancel(a);
-        assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.pop(), Some((Time::from_fs(200), b, 1)));
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.pop(), None);
-    }
-
-    #[test]
-    fn cancelling_a_spill_entry_works() {
-        let mut wheel = TimeWheel::with_geometry(4, 8);
-        wheel.push(Time::from_fs(1), 0);
-        let far = wheel.push(Time::from_fs(1_000_000), 1);
-        wheel.cancel(far);
-        assert_eq!(drain(&mut wheel), vec![(1, 0, 0)]);
-    }
-
-    #[test]
-    fn cancel_of_a_popped_serial_is_a_tolerated_no_op() {
-        let mut wheel = TimeWheel::new();
-        let serial = wheel.push(Time::from_fs(100), 7);
-        assert_eq!(wheel.pop(), Some((Time::from_fs(100), serial, 7)));
-        // The classical engine's pending markers can outlive their commit;
-        // cancelling one must not disturb the live count.
-        assert!(!wheel.cancel(serial));
-        assert!(wheel.is_empty());
-        let other = wheel.push(Time::from_fs(200), 8);
-        assert_eq!(wheel.len(), 1);
-        assert_eq!(wheel.pop(), Some((Time::from_fs(200), other, 8)));
-    }
-
-    #[test]
     fn inserts_before_the_cursor_keep_their_true_time() {
         let mut wheel = TimeWheel::new();
         wheel.push(Time::from_ns(1.0), 0);
@@ -580,8 +498,7 @@ mod tests {
     fn reset_restores_serials_and_keeps_popping_correctly() {
         let mut wheel = TimeWheel::new();
         wheel.push(Time::from_ns(5.0), 0);
-        let doomed = wheel.push(Time::from_ns(6.0), 1);
-        wheel.cancel(doomed);
+        wheel.push(Time::from_ns(6.0), 1);
         wheel.reset();
         assert!(wheel.is_empty());
         assert_eq!(wheel.next_serial(), 0);
@@ -638,8 +555,8 @@ mod tests {
 
     proptest! {
         /// Bounded pops against a sorted-vector model: each
-        /// `pop_through(bound)` round returns exactly the live entries up
-        /// to the bound in `(time, serial)` order and then `None`, without
+        /// `pop_through(bound)` round returns exactly the entries up to the
+        /// bound in `(time, serial)` order and then `None`, without
         /// moving the cursor past the bound's day.  Some entries are pushed
         /// under serials reserved before later auto-numbered pushes; on a
         /// coarse time grid they must pop first at equal times.
@@ -654,22 +571,14 @@ mod tests {
             let mut wheel = TimeWheel::with_geometry(6, 16);
             let mut model: Vec<(i64, u64, u32)> = Vec::new();
             let mut reserved: Vec<(i64, u64, u32)> = Vec::new();
-            let mut pushed: Vec<u64> = Vec::new();
             for (index, &(slot, action)) in ops.iter().enumerate() {
                 let time = slot * 1_000;
                 let payload = index as u32;
-                match action {
-                    0 => reserved.push((time, wheel.reserve_serial(), payload)),
-                    1 if !pushed.is_empty() => {
-                        let serial = pushed.swap_remove(index % pushed.len());
-                        prop_assert!(wheel.cancel(serial));
-                        model.retain(|&(_, s, _)| s != serial);
-                    }
-                    _ => {
-                        let serial = wheel.push(Time::from_fs(time), payload);
-                        pushed.push(serial);
-                        model.push((time, serial, payload));
-                    }
+                if action == 0 {
+                    reserved.push((time, wheel.reserve_serial(), payload));
+                } else {
+                    let serial = wheel.push(Time::from_fs(time), payload);
+                    model.push((time, serial, payload));
                 }
             }
             // Reserved entries go in last, newest reservation first.
@@ -698,22 +607,16 @@ mod tests {
 
         /// Against a sorted-vector model: identical (time, serial, payload)
         /// pop sequence for arbitrary pushes, including times far outside
-        /// the ring window and interleaved cancellations.
+        /// the ring window.
         #[test]
         fn prop_matches_sorted_reference(
-            ops in proptest::collection::vec((0i64..2_000_000, 0u8..10), 1..300),
+            times in proptest::collection::vec(0i64..2_000_000, 1..300),
         ) {
             let mut wheel = TimeWheel::with_geometry(6, 16);
             let mut model: Vec<(i64, u64, u32)> = Vec::new();
-            for (index, &(time, action)) in ops.iter().enumerate() {
-                if action == 0 && !model.is_empty() && index % 3 == 0 {
-                    // Cancel the most recently pushed surviving entry.
-                    let (_, serial, _) = model.remove(model.len() - 1);
-                    wheel.cancel(serial);
-                } else {
-                    let serial = wheel.push(Time::from_fs(time), index as u32);
-                    model.push((time, serial, index as u32));
-                }
+            for (index, &time) in times.iter().enumerate() {
+                let serial = wheel.push(Time::from_fs(time), index as u32);
+                model.push((time, serial, index as u32));
             }
             model.sort();
             prop_assert_eq!(wheel.len(), model.len());

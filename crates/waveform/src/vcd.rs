@@ -34,10 +34,9 @@ fn level_char(level: LogicLevel) -> char {
 
 /// Incremental VCD emission: header once, then time-ordered value changes.
 ///
-/// [`write()`] needs the whole trace up front; simulation observers that
-/// stream results (e.g. `halotis_sim`'s `VcdStreamer`) instead declare the
-/// signal set once and push `(time, signal, level)` changes as they become
-/// final.  Changes must arrive in non-decreasing time order — the VCD format
+/// [`write()`] needs the whole trace up front; a writer that streams
+/// results instead declares the signal set once and pushes
+/// `(time, signal, level)` changes as they become final.  Changes must arrive in non-decreasing time order — the VCD format
 /// has no way to rewind a timestamp ([`change`](StreamWriter::change)
 /// enforces it).
 ///

@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (gate, name) in &targets {
         let edit_started = Instant::now();
         circuit.edit(|session| session.swap_cell_kind(*gate, CellKind::Nand2))?;
-        circuit.sync_state(&mut state);
+        circuit.adapt_state(&mut state);
         let edit_time = edit_started.elapsed();
 
         let variant = circuit.run_with(&mut state, &stimulus, &config)?;

@@ -170,7 +170,7 @@ fn check_incremental_matches_fresh(
     let mut circuit = CompiledCircuit::compile(&netlist, &library).expect("base compile");
     let mut state = circuit.new_state();
     // Exercise arena reuse across the edit: run once before editing so a
-    // stale-row bug in sync_state cannot hide behind a fresh arena.
+    // stale-row bug in adapt_state cannot hide behind a fresh arena.
     let warmup = random_stimulus(circuit.netlist(), &library, polarity, spread_ps);
     circuit
         .run_with(&mut state, &warmup, &SimulationConfig::ddm())
@@ -180,7 +180,7 @@ fn check_incremental_matches_fresh(
     for (step, &seed) in script.iter().enumerate() {
         edits += apply_one_edit(&mut circuit, step, seed);
     }
-    circuit.sync_state(&mut state);
+    circuit.adapt_state(&mut state);
 
     let mutated = circuit.netlist().clone();
     let fresh =
