@@ -6,7 +6,9 @@
 //! so every target measures exactly the same workloads.  It also keeps the
 //! retired event queue, [`reference::ReferenceEventQueue`], which the
 //! `event_queue` bench and the queue property tests compare the production
-//! queue against — out of the crates the simulator ships in.
+//! queue against, and the retired drive-based suite expansion,
+//! [`reference::suite_stimuli`], which the suite-equivalence test holds
+//! the suites' generators to — out of the crates the simulator ships in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

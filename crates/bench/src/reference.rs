@@ -1,21 +1,31 @@
-//! The original `BinaryHeap` + `HashSet` event queue, kept verbatim as
-//! an executable reference implementation.
+//! Retired implementations, kept verbatim as executable references.
 //!
-//! This is **not** used by the engine and does not ship with it.  It
-//! exists so that this crate's `tests/queue_properties.rs` can proptest
-//! the production [`EventQueue`](halotis::sim::queue::EventQueue) against
-//! it (identical pop order including equal-time serial tie-breaks,
-//! identical scheduled/filtered counts, identical behaviour after
-//! `reset`, and staged stimulus fed lazily against the same stimulus
-//! scheduled up front), and so the `event_queue` benchmark can report the
-//! heap-vs-wheel ablation.
+//! Neither is used by the simulator, and neither ships with it.
+//!
+//! * [`ReferenceEventQueue`], the original `BinaryHeap` + `HashSet` event
+//!   queue, lets this crate's `tests/queue_properties.rs` proptest the
+//!   production [`EventQueue`](halotis::sim::queue::EventQueue) against it
+//!   (identical pop order including equal-time serial tie-breaks,
+//!   identical scheduled/filtered counts, identical behaviour after
+//!   `reset`, and streamed stimulus against the same stimulus scheduled up
+//!   front), and lets the `event_queue` benchmark report the heap-vs-wheel
+//!   ablation.
+//! * [`suite_stimuli`], the original drive-by-drive expansion of a
+//!   [`StimulusSuite`] into named [`Stimulus`] objects, is the oracle
+//!   `tests/suite_equivalence.rs` holds the suites' on-demand generators
+//!   to.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
-use halotis::core::Time;
+use halotis::core::{LogicLevel, Time, TimeDelta};
+use halotis::corpus::stimuli::{pattern_start, StimulusSuite, MAX_EXHAUSTIVE_INPUTS};
+use halotis::netlist::{Library, Netlist};
 use halotis::sim::event::Event;
 use halotis::sim::queue::ScheduleOutcome;
+use halotis::waveform::Stimulus;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct QueuedEvent {
@@ -130,4 +140,147 @@ impl ReferenceEventQueue {
     pub fn filtered(&self) -> usize {
         self.filtered
     }
+}
+
+/// Why the reference expansion may assume its pattern times fit the clock.
+const FITS_THE_CLOCK: &str = "pattern time overflows the femtosecond clock";
+
+/// Expands `suite` for `netlist` into its named stimuli the way the suites
+/// did before they generated transitions on demand: every pattern driven
+/// onto every input through [`Stimulus::drive`].
+///
+/// # Panics
+///
+/// Under the conditions of [`StimulusSuite::sources`] for well-formed
+/// parameters.
+pub fn suite_stimuli(
+    suite: &StimulusSuite,
+    netlist: &Netlist,
+    library: &Library,
+) -> Vec<(String, Stimulus)> {
+    let inputs: Vec<&str> = netlist
+        .primary_inputs()
+        .iter()
+        .map(|&net| netlist.net(net).name())
+        .collect();
+    assert!(
+        !inputs.is_empty(),
+        "corpus suites need at least one primary input, {} has none",
+        netlist.name()
+    );
+    assert!(
+        inputs.len() <= 64,
+        "corpus suites drive at most 64 inputs, {} has {}",
+        netlist.name(),
+        inputs.len()
+    );
+    let slew = library.default_input_slew();
+    match *suite {
+        StimulusSuite::RandomVectors {
+            vectors,
+            period,
+            seed,
+        } => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mask = u64::MAX >> (64 - inputs.len());
+            let patterns: Vec<u64> = (0..vectors).map(|_| rng.gen::<u64>() & mask).collect();
+            vec![(
+                suite.label(),
+                pattern_sequence(&inputs, &patterns, period, slew),
+            )]
+        }
+        StimulusSuite::Exhaustive { period } => {
+            assert!(
+                inputs.len() <= MAX_EXHAUSTIVE_INPUTS,
+                "exhaustive sweep limited to {MAX_EXHAUSTIVE_INPUTS} inputs, {} has {}",
+                netlist.name(),
+                inputs.len()
+            );
+            let patterns: Vec<u64> = (0..1u64 << inputs.len()).collect();
+            vec![(
+                suite.label(),
+                pattern_sequence(&inputs, &patterns, period, slew),
+            )]
+        }
+        StimulusSuite::ToggleProbes {
+            seed,
+            max_probes,
+            pulse,
+        } => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mask = u64::MAX >> (64 - inputs.len());
+            let base = rng.gen::<u64>() & mask;
+            (0..inputs.len().min(max_probes))
+                .map(|probe| {
+                    let mut stimulus = Stimulus::new(slew);
+                    for (bit, name) in inputs.iter().enumerate() {
+                        stimulus.set_initial(*name, LogicLevel::from_bool((base >> bit) & 1 == 1));
+                    }
+                    let resting = LogicLevel::from_bool((base >> probe) & 1 == 1);
+                    let flipped = if resting == LogicLevel::High {
+                        LogicLevel::Low
+                    } else {
+                        LogicLevel::High
+                    };
+                    stimulus.drive(inputs[probe], Time::from_ns(2.0), flipped);
+                    stimulus.drive(inputs[probe], Time::from_ns(2.0) + pulse, resting);
+                    (format!("probe{probe}"), stimulus)
+                })
+                .collect()
+        }
+        StimulusSuite::Clocked {
+            cycles,
+            period,
+            high,
+            skew,
+            seed,
+        } => {
+            assert!(
+                TimeDelta::ZERO < high && high + skew < period,
+                "clock shape must satisfy 0 < high and high + skew < period"
+            );
+            let clock = inputs[0];
+            let data = &inputs[1..];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stimulus = Stimulus::new(slew);
+            for name in &inputs {
+                stimulus.set_initial(*name, LogicLevel::Low);
+            }
+            let mask = if data.is_empty() {
+                0
+            } else {
+                u64::MAX >> (64 - data.len())
+            };
+            for cycle in 0..cycles {
+                let rise = pattern_start(period, cycle).expect(FITS_THE_CLOCK);
+                let fall = rise + high;
+                stimulus.drive(clock, rise, LogicLevel::High);
+                stimulus.drive(clock, fall, LogicLevel::Low);
+                if !data.is_empty() {
+                    let pattern = rng.gen::<u64>() & mask;
+                    stimulus.drive_bus_value(data, pattern, fall + skew);
+                }
+            }
+            vec![(suite.label(), stimulus)]
+        }
+    }
+}
+
+/// One stimulus applying `patterns` across `inputs` (LSB = `inputs[0]`),
+/// one pattern every `period` starting at 1 ns, all inputs initially low.
+fn pattern_sequence(
+    inputs: &[&str],
+    patterns: &[u64],
+    period: TimeDelta,
+    slew: TimeDelta,
+) -> Stimulus {
+    let mut stimulus = Stimulus::new(slew);
+    for name in inputs {
+        stimulus.set_initial(*name, LogicLevel::Low);
+    }
+    for (index, &pattern) in patterns.iter().enumerate() {
+        let start = pattern_start(period, index).expect(FITS_THE_CLOCK);
+        stimulus.drive_bus_value(inputs, pattern, start);
+    }
+    stimulus
 }

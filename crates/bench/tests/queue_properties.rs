@@ -8,8 +8,9 @@
 //! invariants and an executable reference model of the flowchart — and
 //! against the retired `BinaryHeap` + `HashSet` implementation
 //! ([`ReferenceEventQueue`], kept verbatim in this crate's library as the
-//! executable specification of the ordering contract).  Stimulus staged
-//! with [`EventQueue::stage`] and fed to the wheel lazily must match the
+//! executable specification of the ordering contract).  Stimulus streamed
+//! through a [`StimulusFeed`] — counted at set-up, fed to the wheel one
+//! window at a time, storing nothing per transition — must match the
 //! reference with the same stimulus scheduled up front.
 //!
 //! The queue decides liveness in one place: a popped wheel entry counts
@@ -18,9 +19,11 @@
 //! liveness is a separate `HashSet` of cancelled serials, so a dropped
 //! live event or a returned cancelled one fails in every build profile.
 
-use halotis::core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
+use halotis::core::{Edge, GateId, LogicLevel, NetId, PinRef, Time, TimeDelta};
 use halotis::sim::event::Event;
+use halotis::sim::feed::{FeedPin, StimulusFeed};
 use halotis::sim::queue::{EventQueue, ScheduleOutcome};
+use halotis::waveform::Transition;
 use halotis_bench::reference::ReferenceEventQueue;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -255,19 +258,30 @@ proptest! {
     }
 }
 
-/// Stimulus inputs of the staged-stimulus property: input `k` drives pins
-/// `2k` and `2k + 1`, and the remaining pins up to [`PINS`] only ever get
-/// scheduled events.
+/// Stimulus inputs of the streamed-stimulus property: input `k` drives
+/// pins `2k` and `2k + 1`, and the remaining pins up to [`PINS`] only ever
+/// get scheduled events, as in the engine, where a pin a primary input
+/// drives gets that input's events alone.
 const STIMULUS_INPUTS: usize = 3;
-/// The time grid of the staged-stimulus property: 2^23 fs, an eighth of
+/// The time grid of the streamed-stimulus property: 2^23 fs, an eighth of
 /// the feed window (half the default wheel's 2^27-fs ring), so event times
 /// also land exactly on feed horizons.
 const UNIT: i64 = 1 << 23;
 /// Gaps between an input's successive transition starts, in units: equal
 /// starts, a fraction of a window, one window, and many windows.
 const GAPS: [i64; 5] = [0, 1, 3, 8, 120];
-/// Transition slews in units.
+/// Transition slews in units, one per input stream.
 const SLEWS: [i64; 3] = [0, 4, 8];
+/// Threshold crossings as `[rise, fall]` fractions of the slew, one per
+/// pin: a high threshold lets a fall that closely follows a rise cross
+/// first, which is the Fig. 4 cancellation.
+const PROGRESS: [[f64; 2]; 5] = [
+    [0.0, 1.0],
+    [0.25, 0.75],
+    [0.5, 0.5],
+    [0.75, 0.25],
+    [1.0, 0.0],
+];
 /// Delays of the scheduled events after the pop that causes them, in
 /// units: slightly into the past, at the same instant, and up to three
 /// windows on.
@@ -276,58 +290,78 @@ const DELAYS: [i64; 5] = [-1, 0, 1, 2, 24];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Stimulus staged with `EventQueue::stage` and fed to the wheel one
-    /// window at a time is observationally identical to the reference
-    /// queue with the same stimulus scheduled up front, while events are
-    /// scheduled (or staged) between pops: same outcomes, same pop sequence
-    /// (all times sit on the [`UNIT`] grid, so equal-time serial tie-breaks
-    /// between staged and scheduled events are common), same lengths, and
-    /// the same scheduled, filtered and high-water counts.  Each
-    /// transition's crossings fall at a per-pin fraction of its slew, so a
-    /// transition that follows a slower one closely cancels it on some
-    /// pins.
+    /// Stimulus streamed through a `StimulusFeed` is observationally
+    /// identical to the reference queue with the same stimulus scheduled
+    /// up front, while events are scheduled between pops: same pop
+    /// sequence (all times sit on the [`UNIT`] grid, so equal-time serial
+    /// tie-breaks between stimulus and scheduled events are common), same
+    /// lengths, and the same scheduled, filtered and high-water counts.
+    /// Each input's transitions start in order, alternate in edge and
+    /// share one slew — what a stimulus source guarantees — and their
+    /// events fall at a per-pin fraction of it, so a transition closely
+    /// following another cancels it on some pins.
     #[test]
-    fn staged_stimulus_matches_up_front_reference(
-        transitions in proptest::collection::vec((0usize..STIMULUS_INPUTS, 0usize..5, 0usize..3), 1..60),
-        scheduled in proptest::collection::vec((0usize..PINS, 0usize..5, 0u8..4), 0..80),
+    fn streamed_stimulus_matches_up_front_reference(
+        gaps in proptest::collection::vec((0usize..STIMULUS_INPUTS, 0usize..5), 1..60),
+        slews in proptest::collection::vec(0usize..3, STIMULUS_INPUTS),
+        progress in proptest::collection::vec(0usize..5, 2 * STIMULUS_INPUTS),
+        scheduled in proptest::collection::vec((2 * STIMULUS_INPUTS..PINS, 0usize..5), 0..80),
     ) {
         let mut queue = EventQueue::new(PINS);
         let mut reference = ReferenceEventQueue::new(PINS);
         let mut reference_high_water = 0;
-        // The engine's staging order: input by input, each input's
-        // transitions in order, each transition's pins in order.
+        let mut feed = StimulusFeed::with_capacity(STIMULUS_INPUTS, 2 * STIMULUS_INPUTS);
         for input in 0..STIMULUS_INPUTS {
+            let slew = TimeDelta::from_fs(SLEWS[slews[input]] * UNIT);
             let mut start = 0;
-            for &(_, gap, slew) in transitions.iter().filter(|(of, _, _)| *of == input) {
+            let mut edge = Edge::Rise;
+            let mut transitions = Vec::new();
+            for &(_, gap) in gaps.iter().filter(|(of, _)| *of == input) {
                 start += GAPS[gap] * UNIT;
-                for pin in [2 * input, 2 * input + 1] {
-                    let time = start + SLEWS[slew] * UNIT * (pin as i64 % 5) / 4;
-                    let candidate = event(time, pin);
-                    prop_assert_eq!(
-                        queue.stage(pin, candidate, Time::from_fs(start)),
-                        reference.schedule(pin, candidate)
-                    );
+                transitions.push(Transition::new(Time::from_fs(start), slew, edge));
+                edge = edge.inverted();
+            }
+            let pins: Vec<FeedPin> = [2 * input, 2 * input + 1]
+                .into_iter()
+                .map(|pin| FeedPin {
+                    dense: pin,
+                    pin: PinRef::new(GateId::new(pin as u32), 0),
+                    progress: PROGRESS[progress[pin]],
+                })
+                .collect();
+            // The reference schedules in the engine's set-up order: each
+            // transition's pins in order.
+            for transition in &transitions {
+                for pin in &pins {
+                    let edge_index = usize::from(transition.edge() == Edge::Fall);
+                    let slew = transition.slew();
+                    let time = transition.start() + slew.scale(pin.progress[edge_index]);
+                    let level = transition.edge().target_level();
+                    reference.schedule(pin.dense, Event::new(time, pin.pin, level, slew));
                     reference_high_water = reference_high_water.max(reference.len());
                 }
             }
+            feed.add_input(
+                &mut queue,
+                &mut (),
+                NetId::from_usize(input),
+                pins,
+                transitions.iter().copied(),
+                transitions.clone().into_iter(),
+            );
+            prop_assert_eq!(queue.len(), reference.len());
         }
-        prop_assert_eq!(queue.len(), reference.len());
+        prop_assert_eq!(queue.scheduled(), reference.scheduled());
+        prop_assert_eq!(queue.filtered(), reference.filtered());
         let mut scheduled = scheduled.into_iter();
         loop {
-            let ours = queue.pop();
+            let ours = feed.pop(&mut queue).map(|(_, event)| event);
             prop_assert_eq!(ours, reference.pop());
             let Some(popped) = ours else { break };
-            if let Some((pin, delay, how)) = scheduled.next() {
+            if let Some((pin, delay)) = scheduled.next() {
                 let time = popped.time.as_fs() + DELAYS[delay] * UNIT;
                 let candidate = event(time, pin);
-                // One in four goes through `stage` after pops began: due
-                // ones go straight to the wheel, later ones start new runs.
-                let ours = if how == 0 {
-                    queue.stage(pin, candidate, Time::from_fs(time))
-                } else {
-                    queue.schedule(pin, candidate)
-                };
-                prop_assert_eq!(ours, reference.schedule(pin, candidate));
+                prop_assert_eq!(queue.schedule(pin, candidate), reference.schedule(pin, candidate));
                 reference_high_water = reference_high_water.max(reference.len());
             }
             prop_assert_eq!(queue.len(), reference.len());
@@ -434,11 +468,11 @@ fn cancelling_removes_exactly_the_pending_event() {
     assert_eq!(popped, vec![(2_000, 0), (3_000, 1)]);
 }
 
-/// One pin's pending list, staged thousands of events deep, is cancelled
-/// from its back over and over — several times in a row, with appends in
-/// between and pops taking its front — and every outcome, length and pop
-/// must match the reference queue.  Most of the list still waits in the
-/// staging buffer when the cancellations start.
+/// One pin's pending list, thousands of events deep, is cancelled from its
+/// back over and over — several times in a row, with appends in between
+/// and pops taking its front — and every outcome, length and pop must
+/// match the reference queue.  Most of the list lies beyond the wheel's
+/// ring, in its far-future spill, when the cancellations start.
 #[test]
 fn deep_pending_list_cancels_from_its_back() {
     const DEPTH: i64 = 4_000;
@@ -447,21 +481,16 @@ fn deep_pending_list_cancels_from_its_back() {
     let mut reference = ReferenceEventQueue::new(1);
     // The pin's pending times, front first, as the Fig. 4 rule leaves them.
     let mut pending = VecDeque::new();
-    /// Offers an event at `time` to both queues, staged or scheduled,
-    /// checks that they agree, and books the outcome in `pending`.
+    /// Offers an event at `time` to both queues, checks that they agree,
+    /// and books the outcome in `pending`.
     fn offer(
         queue: &mut EventQueue,
         reference: &mut ReferenceEventQueue,
         pending: &mut VecDeque<i64>,
         time: i64,
-        staged: bool,
     ) {
         let candidate = event(time, 0);
-        let outcome = if staged {
-            queue.stage(0, candidate, Time::from_fs(time))
-        } else {
-            queue.schedule(0, candidate)
-        };
+        let outcome = queue.schedule(0, candidate);
         assert_eq!(
             outcome,
             reference.schedule(0, candidate),
@@ -475,26 +504,20 @@ fn deep_pending_list_cancels_from_its_back() {
         }
     }
     for k in 1..=DEPTH {
-        offer(
-            &mut queue,
-            &mut reference,
-            &mut pending,
-            k * SPACING_FS,
-            true,
-        );
+        offer(&mut queue, &mut reference, &mut pending, k * SPACING_FS);
     }
     let mut step = 0;
     while pending.len() > 1 {
         step += 1;
         for _ in 0..1 + step % 3 {
             if let Some(&back) = pending.back() {
-                offer(&mut queue, &mut reference, &mut pending, back, false);
+                offer(&mut queue, &mut reference, &mut pending, back);
             }
         }
         if step % 2 == 0 {
             if let Some(&back) = pending.back() {
                 let time = back + SPACING_FS / 2;
-                offer(&mut queue, &mut reference, &mut pending, time, false);
+                offer(&mut queue, &mut reference, &mut pending, time);
             }
         }
         if step % 4 == 0 {

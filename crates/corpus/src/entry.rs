@@ -5,7 +5,7 @@ use halotis_delay::{Conventional, Degradation, DelayModelHandle, DelayModelKind,
 use halotis_netlist::{generators, iscas, CellKind, Library, Netlist};
 use halotis_sim::{Scenario, SimulationConfig};
 
-use crate::stimuli::StimulusSuite;
+use crate::stimuli::{StimulusSuite, SuiteStimulus};
 
 /// The corpus's third model column: a [`PerCellOverride`] mix applying the
 /// conventional model to the XOR family and the 4-input cells while every
@@ -102,10 +102,21 @@ impl CorpusEntry {
 
     /// Expands the entry into its scenario set: every stimulus of the suite
     /// under all three [`ModelColumn`]s, labelled `entry/stimulus/model`
-    /// (`.../ddm`, `.../cdm`, `.../mix` adjacent, in that order).
+    /// (`.../ddm`, `.../cdm`, `.../mix` adjacent, in that order).  Each
+    /// stimulus is materialized ([`StimulusSuite::stimuli`]).
     pub fn scenarios(&self, library: &Library) -> Vec<Scenario> {
-        self.suite
-            .stimuli(&self.netlist, library)
+        self.scenarios_of(self.suite.stimuli(&self.netlist, library))
+    }
+
+    /// [`scenarios`](CorpusEntry::scenarios) over the suite's generators
+    /// ([`StimulusSuite::sources`]): the same runs, streamed, with no
+    /// transition stored — what [`CorpusRunner`](crate::CorpusRunner) runs.
+    pub fn streamed_scenarios(&self, library: &Library) -> Vec<Scenario<SuiteStimulus>> {
+        self.scenarios_of(self.suite.sources(&self.netlist, library))
+    }
+
+    fn scenarios_of<S: Clone>(&self, stimuli: Vec<(String, S)>) -> Vec<Scenario<S>> {
+        stimuli
             .into_iter()
             .flat_map(|(stimulus_label, stimulus)| {
                 let label = format!("{}/{}", self.name, stimulus_label);

@@ -62,4 +62,4 @@ pub use entry::{mixed_model, standard_corpus, CorpusEntry, ModelColumn};
 pub use observer::{GlitchProfile, ScenarioObserver, WallClockProbe};
 pub use runner::{CorpusError, CorpusReport, CorpusRunner, EntryTiming, NetHotspot};
 pub use stats::{CorpusStats, EntryRecord, ScenarioRecord, SCHEMA};
-pub use stimuli::StimulusSuite;
+pub use stimuli::{StimulusSuite, SuiteStimulus, SuiteTransitions};

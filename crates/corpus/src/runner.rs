@@ -1,7 +1,8 @@
 //! Executes a corpus through the no-waveform observed batch path.
 //!
 //! Every entry compiles once; its scenarios (each stimulus × the three
-//! [`ModelColumn`](crate::ModelColumn)s) run through
+//! [`ModelColumn`](crate::ModelColumn)s, each stimulus streamed from the
+//! suite's generator, never stored) run through
 //! [`BatchRunner::run_observed`] with the [`ScenarioObserver`] bundle the
 //! daemon runs too — [`PowerAccumulator`](halotis_sim::PowerAccumulator) +
 //! [`GlitchProfile`](crate::GlitchProfile) — plus a [`WallClockProbe`], so
@@ -182,7 +183,7 @@ impl CorpusRunner {
                     source,
                 }
             })?;
-            let scenarios = entry.scenarios(&library);
+            let scenarios = entry.streamed_scenarios(&library);
 
             let mut samples = Vec::with_capacity(self.repeats());
             let mut last_report = None;
@@ -401,7 +402,7 @@ mod tests {
         let mut expected = Vec::new();
         for entry in &corpus {
             let circuit = CompiledCircuit::compile(&entry.netlist, &library).unwrap();
-            let scenarios = entry.scenarios(&library);
+            let scenarios = entry.streamed_scenarios(&library);
             let batch = BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| {
                 halotis_sim::PowerAccumulator::new()
             });

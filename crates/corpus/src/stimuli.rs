@@ -1,28 +1,38 @@
 //! Deterministic stimulus suites for corpus circuits.
 //!
-//! A [`StimulusSuite`] turns a netlist into a reproducible set of named
-//! [`Stimulus`] objects.  All three suites are pure functions of the
-//! netlist and the suite parameters (the random suite goes through a seeded
-//! [`StdRng`]), so the same corpus definition always produces bit-identical
-//! input waveforms — the foundation of the golden-stats CI gate.
+//! A [`StimulusSuite`] is a reproducible recipe for one or more stimuli of
+//! a circuit.  [`StimulusSuite::sources`] turns it into [`SuiteStimulus`]
+//! values, [`StimulusSource`]s that generate each primary input's
+//! transitions on demand from the suite's parameters — the random suites
+//! replay a seeded [`StdRng`] per input, the exhaustive and toggle-probe
+//! suites are closed-form — so a run streams the stimulus without any
+//! pattern vector or waveform being built.  [`StimulusSuite::stimuli`]
+//! materializes the same generator into named [`Stimulus`] objects.  Every
+//! suite is a pure function of the netlist and its parameters, so the same
+//! corpus definition always produces bit-identical input waveforms — the
+//! foundation of the golden-stats CI gate.
 
-use halotis_core::{LogicLevel, Time, TimeDelta};
+use halotis_core::{Edge, LogicLevel, Time, TimeDelta};
 use halotis_netlist::{Library, Netlist};
-use halotis_waveform::Stimulus;
+use halotis_sim::StimulusSource;
+use halotis_waveform::{Stimulus, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Most input patterns a suite may sweep exhaustively (2^12 vectors).
 pub const MAX_EXHAUSTIVE_INPUTS: usize = 12;
 
-/// Why expanding a suite may assume its pattern times fit the clock.
+/// Why generating a suite may assume its pattern times fit the clock.
 const FITS_THE_CLOCK: &str = "pattern time overflows the femtosecond clock; \
      halotis-serve's validate_suite refuses suites whose pattern_start(period, count) is None";
+
+/// When a toggle probe's pulse starts.
+const PROBE_AT_NS: f64 = 2.0;
 
 /// The instant pattern (or clock cycle) `index` of a suite starts at:
 /// patterns start at 1 ns, one every `period`.  `None` when it does not fit
 /// the femtosecond clock — with `index` the suite's pattern count, this is
-/// the end-of-suite bound a server checks before expanding a suite.
+/// the end-of-suite bound a server checks before running a suite.
 pub fn pattern_start(period: TimeDelta, index: usize) -> Option<Time> {
     let span = period.checked_mul(i64::try_from(index).ok()?)?;
     Time::from_ns(1.0).checked_add(span)
@@ -104,143 +114,351 @@ impl StimulusSuite {
         }
     }
 
-    /// Generates the suite's named stimuli for `netlist`, using the
-    /// library's default input slew.
+    /// The suite's named stimuli for `netlist` as generators, using the
+    /// library's default input slew: one per stimulus, each driving the
+    /// circuit's primary inputs by position and storing no transition.
     ///
     /// # Panics
     ///
     /// Panics when an [`Exhaustive`](StimulusSuite::Exhaustive) suite is
     /// applied to a circuit with more than [`MAX_EXHAUSTIVE_INPUTS`] primary
-    /// inputs, or any suite to a circuit with no primary inputs or more
-    /// than 64.
-    pub fn stimuli(&self, netlist: &Netlist, library: &Library) -> Vec<(String, Stimulus)> {
-        let inputs: Vec<&str> = netlist
-            .primary_inputs()
-            .iter()
-            .map(|&net| netlist.net(net).name())
-            .collect();
+    /// inputs, any suite to a circuit with no primary inputs or more than
+    /// 64, or when a suite's parameters would put an input's transitions
+    /// out of order: a negative period or pulse, or a clock shape without
+    /// `0 < high`, `0 <= skew` and `high + skew < period`.
+    pub fn sources(&self, netlist: &Netlist, library: &Library) -> Vec<(String, SuiteStimulus)> {
+        let inputs = netlist.primary_inputs().len();
         assert!(
-            !inputs.is_empty(),
+            inputs > 0,
             "corpus suites need at least one primary input, {} has none",
             netlist.name()
         );
         assert!(
-            inputs.len() <= 64,
+            inputs <= 64,
             "corpus suites drive at most 64 inputs, {} has {}",
             netlist.name(),
-            inputs.len()
+            inputs
         );
-        let slew = library.default_input_slew();
+        let mask = u64::MAX >> (64 - inputs);
+        let stimulus = |base: u64, probe: usize| SuiteStimulus {
+            suite: self.clone(),
+            inputs,
+            base,
+            probe,
+            slew: library.default_input_slew(),
+        };
         match *self {
-            StimulusSuite::RandomVectors {
-                vectors,
-                period,
-                seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mask = u64::MAX >> (64 - inputs.len());
-                let patterns: Vec<u64> = (0..vectors).map(|_| rng.gen::<u64>() & mask).collect();
-                vec![(
-                    self.label(),
-                    pattern_sequence(&inputs, &patterns, period, slew),
-                )]
+            StimulusSuite::RandomVectors { period, .. } => {
+                assert!(
+                    period >= TimeDelta::ZERO,
+                    "suite periods must not be negative"
+                );
+                vec![(self.label(), stimulus(0, 0))]
             }
             StimulusSuite::Exhaustive { period } => {
                 assert!(
-                    inputs.len() <= MAX_EXHAUSTIVE_INPUTS,
+                    inputs <= MAX_EXHAUSTIVE_INPUTS,
                     "exhaustive sweep limited to {MAX_EXHAUSTIVE_INPUTS} inputs, {} has {}",
                     netlist.name(),
-                    inputs.len()
+                    inputs
                 );
-                let patterns: Vec<u64> = (0..1u64 << inputs.len()).collect();
-                vec![(
-                    self.label(),
-                    pattern_sequence(&inputs, &patterns, period, slew),
-                )]
+                assert!(
+                    period >= TimeDelta::ZERO,
+                    "suite periods must not be negative"
+                );
+                vec![(self.label(), stimulus(0, 0))]
             }
             StimulusSuite::ToggleProbes {
                 seed,
                 max_probes,
                 pulse,
             } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mask = u64::MAX >> (64 - inputs.len());
-                let base = rng.gen::<u64>() & mask;
-                (0..inputs.len().min(max_probes))
-                    .map(|probe| {
-                        let mut stimulus = Stimulus::new(slew);
-                        for (bit, name) in inputs.iter().enumerate() {
-                            stimulus
-                                .set_initial(*name, LogicLevel::from_bool((base >> bit) & 1 == 1));
-                        }
-                        let resting = LogicLevel::from_bool((base >> probe) & 1 == 1);
-                        let flipped = if resting == LogicLevel::High {
-                            LogicLevel::Low
-                        } else {
-                            LogicLevel::High
-                        };
-                        stimulus.drive(inputs[probe], Time::from_ns(2.0), flipped);
-                        stimulus.drive(inputs[probe], Time::from_ns(2.0) + pulse, resting);
-                        (format!("probe{probe}"), stimulus)
-                    })
+                assert!(
+                    pulse >= TimeDelta::ZERO,
+                    "probe pulses must not be negative"
+                );
+                let base = StdRng::seed_from_u64(seed).gen::<u64>() & mask;
+                (0..inputs.min(max_probes))
+                    .map(|probe| (format!("probe{probe}"), stimulus(base, probe)))
                     .collect()
             }
+            StimulusSuite::Clocked {
+                period, high, skew, ..
+            } => {
+                assert!(
+                    TimeDelta::ZERO < high && TimeDelta::ZERO <= skew && high + skew < period,
+                    "clock shape must satisfy 0 < high, 0 <= skew and high + skew < period"
+                );
+                vec![(self.label(), stimulus(0, 0))]
+            }
+        }
+    }
+
+    /// The suite's named stimuli for `netlist`, materialized from
+    /// [`sources`](StimulusSuite::sources).
+    ///
+    /// # Panics
+    ///
+    /// As [`sources`](StimulusSuite::sources).
+    pub fn stimuli(&self, netlist: &Netlist, library: &Library) -> Vec<(String, Stimulus)> {
+        self.sources(netlist, library)
+            .into_iter()
+            .map(|(label, source)| (label, source.to_stimulus(netlist)))
+            .collect()
+    }
+}
+
+/// One stimulus of a [`StimulusSuite`], generated on demand: a
+/// [`StimulusSource`] driving a circuit's primary inputs by position, whose
+/// cursors compute each input's transitions from the suite's parameters.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SuiteStimulus {
+    suite: StimulusSuite,
+    /// The number of primary inputs driven.
+    inputs: usize,
+    /// Initial input levels, input `k` at bit `k`: the seeded base pattern
+    /// of a toggle probe, all low otherwise.
+    base: u64,
+    /// The input a toggle probe pulses.
+    probe: usize,
+    slew: TimeDelta,
+}
+
+impl SuiteStimulus {
+    /// Materializes the stimulus for `netlist`, the circuit it was
+    /// generated for, naming each input after its net.
+    pub fn to_stimulus(&self, netlist: &Netlist) -> Stimulus {
+        let mut stimulus = Stimulus::new(self.slew);
+        for (index, &net) in netlist.primary_inputs().iter().enumerate() {
+            let name = netlist.net(net).name();
+            if let Some(level) = self.initial(index, name) {
+                stimulus.set_initial(name, level);
+            }
+            for transition in self.transitions(index, name) {
+                stimulus.drive(name, transition.start(), transition.edge().target_level());
+            }
+        }
+        stimulus
+    }
+}
+
+impl StimulusSource for SuiteStimulus {
+    type Transitions<'a> = SuiteTransitions;
+
+    fn slew(&self) -> TimeDelta {
+        self.slew
+    }
+
+    fn initial(&self, index: usize, _: &str) -> Option<LogicLevel> {
+        (index < self.inputs).then(|| LogicLevel::from_bool((self.base >> index) & 1 == 1))
+    }
+
+    fn transitions(&self, index: usize, name: &str) -> SuiteTransitions {
+        let Some(level) = self.initial(index, name) else {
+            return SuiteTransitions::new(Drives::Idle, LogicLevel::Low, self.slew);
+        };
+        let drives = match self.suite {
+            StimulusSuite::RandomVectors {
+                vectors,
+                period,
+                seed,
+            } => Drives::Random {
+                rng: StdRng::seed_from_u64(seed),
+                bit: index,
+                step: 0,
+                steps: vectors,
+                period,
+                offset: TimeDelta::ZERO,
+            },
+            StimulusSuite::Exhaustive { period } => Drives::Counting {
+                bit: index,
+                step: 1,
+                patterns: 1 << self.inputs,
+                period,
+            },
+            StimulusSuite::ToggleProbes { pulse, .. } if index == self.probe => {
+                let flipped = if level == LogicLevel::High {
+                    LogicLevel::Low
+                } else {
+                    LogicLevel::High
+                };
+                let at = Time::from_ns(PROBE_AT_NS);
+                Drives::Listed {
+                    drives: [(at, flipped), (at + pulse, level)],
+                    step: 0,
+                }
+            }
+            StimulusSuite::ToggleProbes { .. } => Drives::Idle,
+            // The first input is the clock.
+            StimulusSuite::Clocked {
+                cycles,
+                period,
+                high,
+                ..
+            } if index == 0 => Drives::Clock {
+                cycle: 0,
+                cycles,
+                period,
+                high,
+                risen: false,
+            },
+            // Data input `index` takes bit `index - 1` of each cycle's
+            // pattern, `skew` after the falling clock edge.
             StimulusSuite::Clocked {
                 cycles,
                 period,
                 high,
                 skew,
                 seed,
+            } => Drives::Random {
+                rng: StdRng::seed_from_u64(seed),
+                bit: index - 1,
+                step: 0,
+                steps: cycles,
+                period,
+                offset: high + skew,
+            },
+        };
+        SuiteTransitions::new(drives, level, self.slew)
+    }
+}
+
+/// A cursor over one primary input's transitions in a [`SuiteStimulus`].
+#[derive(Clone, Debug)]
+pub struct SuiteTransitions {
+    drives: Drives,
+    /// The level the input heads for.
+    level: LogicLevel,
+    slew: TimeDelta,
+}
+
+/// Where an input is driven, step by step: a drive to the level the input
+/// already heads for adds no transition, as with [`Stimulus::drive`].
+#[derive(Clone, Debug)]
+enum Drives {
+    /// Step `k` of `steps` drives bit `bit` of the seeded generator's
+    /// `k`-th draw, at `offset` past pattern `k`'s start.
+    Random {
+        rng: StdRng,
+        bit: usize,
+        step: usize,
+        steps: usize,
+        period: TimeDelta,
+        offset: TimeDelta,
+    },
+    /// Binary counting through `patterns` patterns: bit `bit` changes at
+    /// pattern `step << bit`, to high for odd `step`.
+    Counting {
+        bit: usize,
+        step: usize,
+        patterns: usize,
+        period: TimeDelta,
+    },
+    /// A clock: high at the start of each cycle, low `high` later.
+    Clock {
+        cycle: usize,
+        cycles: usize,
+        period: TimeDelta,
+        high: TimeDelta,
+        risen: bool,
+    },
+    /// A fixed pair of drives, each a change.
+    Listed {
+        drives: [(Time, LogicLevel); 2],
+        step: usize,
+    },
+    /// No drive at all.
+    Idle,
+}
+
+impl Drives {
+    /// The next drive that moves an input heading for `level` elsewhere.
+    fn next_change(&mut self, level: LogicLevel) -> Option<(Time, LogicLevel)> {
+        match self {
+            Drives::Random {
+                rng,
+                bit,
+                step,
+                steps,
+                period,
+                offset,
             } => {
-                assert!(
-                    TimeDelta::ZERO < high && high + skew < period,
-                    "clock shape must satisfy 0 < high and high + skew < period"
-                );
-                let clock = inputs[0];
-                let data = &inputs[1..];
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut stimulus = Stimulus::new(slew);
-                for name in &inputs {
-                    stimulus.set_initial(*name, LogicLevel::Low);
-                }
-                let mask = if data.is_empty() {
-                    0
-                } else {
-                    u64::MAX >> (64 - data.len())
-                };
-                for cycle in 0..cycles {
-                    let rise = pattern_start(period, cycle).expect(FITS_THE_CLOCK);
-                    let fall = rise + high;
-                    stimulus.drive(clock, rise, LogicLevel::High);
-                    stimulus.drive(clock, fall, LogicLevel::Low);
-                    if !data.is_empty() {
-                        let pattern = rng.gen::<u64>() & mask;
-                        stimulus.drive_bus_value(data, pattern, fall + skew);
+                while *step < *steps {
+                    let drive = LogicLevel::from_bool((rng.gen::<u64>() >> *bit) & 1 == 1);
+                    *step += 1;
+                    if drive != level {
+                        let at = pattern_start(*period, *step - 1).expect(FITS_THE_CLOCK);
+                        return Some((at + *offset, drive));
                     }
                 }
-                vec![(self.label(), stimulus)]
+                None
             }
+            // Every step below changes the level.
+            Drives::Counting {
+                bit,
+                step,
+                patterns,
+                period,
+            } => {
+                let pattern = *step << *bit;
+                if pattern >= *patterns {
+                    return None;
+                }
+                let drive = LogicLevel::from_bool(*step & 1 == 1);
+                *step += 1;
+                Some((
+                    pattern_start(*period, pattern).expect(FITS_THE_CLOCK),
+                    drive,
+                ))
+            }
+            Drives::Clock {
+                cycle,
+                cycles,
+                period,
+                high,
+                risen,
+            } => {
+                if *cycle == *cycles {
+                    return None;
+                }
+                let rise = pattern_start(*period, *cycle).expect(FITS_THE_CLOCK);
+                *risen = !*risen;
+                if *risen {
+                    Some((rise, LogicLevel::High))
+                } else {
+                    *cycle += 1;
+                    Some((rise + *high, LogicLevel::Low))
+                }
+            }
+            Drives::Listed { drives, step } => {
+                let drive = drives.get(*step).copied();
+                *step += 1;
+                drive
+            }
+            Drives::Idle => None,
         }
     }
 }
 
-/// One stimulus applying `patterns` across `inputs` (LSB = `inputs[0]`),
-/// one pattern every `period` starting at 1 ns, all inputs initially low.
-fn pattern_sequence(
-    inputs: &[&str],
-    patterns: &[u64],
-    period: TimeDelta,
-    slew: TimeDelta,
-) -> Stimulus {
-    let mut stimulus = Stimulus::new(slew);
-    for name in inputs {
-        stimulus.set_initial(*name, LogicLevel::Low);
+impl SuiteTransitions {
+    fn new(drives: Drives, level: LogicLevel, slew: TimeDelta) -> Self {
+        SuiteTransitions {
+            drives,
+            level,
+            slew,
+        }
     }
-    for (index, &pattern) in patterns.iter().enumerate() {
-        let start = pattern_start(period, index).expect(FITS_THE_CLOCK);
-        stimulus.drive_bus_value(inputs, pattern, start);
+}
+
+impl Iterator for SuiteTransitions {
+    type Item = Transition;
+
+    fn next(&mut self) -> Option<Transition> {
+        let (at, level) = self.drives.next_change(self.level)?;
+        let edge = Edge::between(self.level, level).expect("suite inputs hold defined levels");
+        self.level = level;
+        Some(Transition::new(at, self.slew, edge))
     }
-    stimulus
 }
 
 #[cfg(test)]

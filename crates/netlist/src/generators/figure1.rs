@@ -166,7 +166,14 @@ mod tests {
     fn default_thresholds_bracket_the_midpoint() {
         const { assert!(FIGURE1_LOW_VT < 0.5) };
         const { assert!(FIGURE1_HIGH_VT > 0.5) };
+        // The builder refuses overrides outside (0, 1): both branches got
+        // theirs.
         let (netlist, _) = figure1_default();
-        assert!(crate::validate::check(&netlist, &technology::cmos06()).is_empty());
+        let overridden = netlist
+            .gates()
+            .iter()
+            .filter(|gate| gate.threshold_overrides().is_some())
+            .count();
+        assert_eq!(overridden, 2);
     }
 }

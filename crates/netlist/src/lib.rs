@@ -36,7 +36,6 @@ pub mod library;
 pub mod netlist;
 pub mod parser;
 pub mod technology;
-pub mod validate;
 pub mod verilog;
 pub mod writer;
 

@@ -187,6 +187,16 @@ pub enum NetlistError {
         /// The net name.
         net: String,
     },
+    /// A per-instance threshold override is not strictly inside `(0, 1)`:
+    /// the pin would never see an event.
+    ThresholdOutOfRange {
+        /// The gate instance name.
+        gate: String,
+        /// The pin index.
+        pin: usize,
+        /// The offending fraction, as written by `f64`'s `Display`.
+        fraction: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -223,6 +233,14 @@ impl fmt::Display for NetlistError {
             NetlistError::ExposedPrimaryInput { net } => {
                 write!(f, "primary input {net} cannot be exposed as an output")
             }
+            NetlistError::ThresholdOutOfRange {
+                gate,
+                pin,
+                fraction,
+            } => write!(
+                f,
+                "gate {gate} pin {pin}: threshold override {fraction} outside (0, 1)"
+            ),
         }
     }
 }
@@ -486,7 +504,9 @@ impl NetlistBuilder {
     ///
     /// As [`add_gate`](Self::add_gate), plus
     /// [`NetlistError::ThresholdOverrideArity`] when the override list length
-    /// does not match the cell's input count.
+    /// does not match the cell's input count and
+    /// [`NetlistError::ThresholdOutOfRange`] for an override not strictly
+    /// inside `(0, 1)` (NaN included).
     pub fn add_gate_with_thresholds(
         &mut self,
         kind: CellKind,
@@ -501,6 +521,17 @@ impl NetlistBuilder {
                 gate: name,
                 provided: thresholds.len(),
                 required: kind.input_count(),
+            });
+        }
+        if let Some((pin, fraction)) = thresholds
+            .iter()
+            .enumerate()
+            .find(|(_, fraction)| !(**fraction > 0.0 && **fraction < 1.0))
+        {
+            return Err(NetlistError::ThresholdOutOfRange {
+                gate: name,
+                pin,
+                fraction: fraction.to_string(),
             });
         }
         self.add_gate_inner(kind, name, inputs, output, Some(thresholds.to_vec()))
@@ -706,6 +737,27 @@ mod tests {
             netlist.net_load(sum, &library).unwrap(),
             library.wire_capacitance()
         );
+    }
+
+    #[test]
+    fn bad_threshold_override_is_refused() {
+        for fraction in [2.0, -1.0, f64::NAN, f64::INFINITY, 0.0, 1.0] {
+            let mut builder = NetlistBuilder::new("bad_vt");
+            let a = builder.add_input("a");
+            let y = builder.add_net("y");
+            let err = builder
+                .add_gate_with_thresholds(CellKind::Nand2, "g", &[a, a], y, &[0.5, fraction])
+                .unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::ThresholdOutOfRange {
+                    gate: "g".to_string(),
+                    pin: 1,
+                    fraction: fraction.to_string(),
+                }
+            );
+            assert!(err.to_string().contains("outside (0, 1)"), "{err}");
+        }
     }
 
     #[test]

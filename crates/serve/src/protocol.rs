@@ -51,6 +51,9 @@ pub enum ErrorCode {
     ShuttingDown,
     /// A revert was requested but no edits are outstanding.
     NothingToRevert,
+    /// The daemon failed while serving the request (a simulation panicked);
+    /// the daemon itself keeps serving.
+    Internal,
 }
 
 impl ErrorCode {
@@ -72,26 +75,41 @@ impl ErrorCode {
             ErrorCode::SimError => "sim_error",
             ErrorCode::ShuttingDown => "shutting_down",
             ErrorCode::NothingToRevert => "nothing_to_revert",
+            ErrorCode::Internal => "internal",
         }
     }
 }
+
+/// The longest message an error carries, in bytes: messages quote request
+/// tokens (a key, a netlist token), and an answer must not grow with the
+/// request that caused it.
+pub const MAX_MESSAGE_BYTES: usize = 256;
 
 /// A structured protocol failure, carrying the code and a human message.
 #[derive(Clone, Debug)]
 pub struct ProtocolError {
     /// Which failure path was taken.
     pub code: ErrorCode,
-    /// Human-readable detail (never needed by a conforming client).
+    /// Human-readable detail (never needed by a conforming client), at
+    /// most [`MAX_MESSAGE_BYTES`] plus a note of the original length.
     pub message: String,
 }
 
 impl ProtocolError {
-    /// Creates an error.
+    /// Creates an error.  A message longer than [`MAX_MESSAGE_BYTES`] is cut
+    /// on a character boundary, with its original length noted.
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
-        ProtocolError {
-            code,
-            message: message.into(),
+        let mut message = message.into();
+        if message.len() > MAX_MESSAGE_BYTES {
+            let mut cut = MAX_MESSAGE_BYTES;
+            while !message.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let length = message.len();
+            message.truncate(cut);
+            message.push_str(&format!("... ({length} bytes, truncated)"));
         }
+        ProtocolError { code, message }
     }
 }
 
@@ -604,5 +622,16 @@ mod tests {
             r#"{"id":9,"error":{"code":"busy","message":"queue full"}}"#
         );
         assert!(render_error(None, &err).starts_with(r#"{"id":null,"#));
+    }
+
+    #[test]
+    fn long_messages_are_cut_on_a_character_boundary() {
+        let short = ProtocolError::new(ErrorCode::UnknownKey, "é".repeat(100));
+        assert_eq!(short.message, "é".repeat(100));
+        // 'é' is two bytes: the cut falls back to the boundary before byte 256.
+        let long = ProtocolError::new(ErrorCode::UnknownKey, format!("x{}", "é".repeat(1000)));
+        let (head, note) = long.message.split_once("...").unwrap();
+        assert_eq!(head.len(), MAX_MESSAGE_BYTES - 1);
+        assert_eq!(note, " (2001 bytes, truncated)");
     }
 }

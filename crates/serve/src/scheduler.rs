@@ -6,8 +6,11 @@
 //! queue is a bounded [`sync_channel`]: when it is full,
 //! [`Scheduler::try_submit`] reports [`SubmitError::Busy`] *immediately* —
 //! overload surfaces to the client as explicit backpressure, never as
-//! unbounded queueing.
+//! unbounded queueing.  A job that panics does not take its worker down:
+//! the worker counts the panic, replaces the arena the job may have left
+//! half-written, and takes the next job.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -32,6 +35,7 @@ pub struct Scheduler {
     sender: Mutex<Option<SyncSender<Job>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     executed: Arc<AtomicU64>,
+    panics: Arc<AtomicU64>,
 }
 
 impl Scheduler {
@@ -41,13 +45,15 @@ impl Scheduler {
         let (sender, receiver) = sync_channel::<Job>(queue_depth.max(1));
         let receiver = Arc::new(Mutex::new(receiver));
         let executed = Arc::new(AtomicU64::new(0));
+        let panics = Arc::new(AtomicU64::new(0));
         let handles = (0..workers.max(1))
             .map(|index| {
                 let receiver = Arc::clone(&receiver);
                 let executed = Arc::clone(&executed);
+                let panics = Arc::clone(&panics);
                 std::thread::Builder::new()
                     .name(format!("halotis-sim-{index}"))
-                    .spawn(move || worker_loop(&receiver, &executed))
+                    .spawn(move || worker_loop(&receiver, &executed, &panics))
                     .expect("spawning a worker thread")
             })
             .collect();
@@ -55,6 +61,7 @@ impl Scheduler {
             sender: Mutex::new(Some(sender)),
             workers: Mutex::new(handles),
             executed,
+            panics,
         }
     }
 
@@ -73,6 +80,11 @@ impl Scheduler {
     /// Jobs completed since startup.
     pub fn executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
+    }
+
+    /// Jobs that panicked since startup.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Drains the pool: no new jobs are accepted, already-queued jobs still
@@ -100,7 +112,7 @@ impl Drop for Scheduler {
     }
 }
 
-fn worker_loop(receiver: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
+fn worker_loop(receiver: &Mutex<Receiver<Job>>, executed: &AtomicU64, panics: &AtomicU64) {
     let mut arena = WorkerArena::default();
     loop {
         // Hold the lock only to dequeue, never while running a job.
@@ -109,10 +121,15 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, executed: &AtomicU64) {
             guard.recv()
         };
         match job {
-            Ok(job) => {
-                job(&mut arena);
-                executed.fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(job) => match catch_unwind(AssertUnwindSafe(|| job(&mut arena))) {
+                Ok(()) => {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    panics.fetch_add(1, Ordering::Relaxed);
+                    arena = WorkerArena::default();
+                }
+            },
             // Sender dropped and the queue is drained: shut down.
             Err(_) => break,
         }
@@ -172,6 +189,23 @@ mod tests {
         // All accepted jobs ran (drained on shutdown).
         assert!(scheduler.executed() >= 2);
         let _ = done_rx;
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_its_worker_serving() {
+        let scheduler = Scheduler::new(1, 4);
+        let (done_tx, done_rx) = channel();
+        scheduler
+            .try_submit(Box::new(|_| panic!("a deliberate job panic")))
+            .unwrap();
+        scheduler
+            .try_submit(Box::new(move |_| done_tx.send(7).unwrap()))
+            .unwrap();
+        // The single worker survived the panic to run the second job.
+        assert_eq!(done_rx.recv().unwrap(), 7);
+        scheduler.shutdown();
+        assert_eq!(scheduler.panics(), 1);
+        assert_eq!(scheduler.executed(), 1);
     }
 
     #[test]

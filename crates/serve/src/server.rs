@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -560,7 +561,7 @@ fn dispatch(body: &[u8], shared: &Arc<Shared>, conn: &Arc<Conn>) -> bool {
             Ok(format!(
                 concat!(
                     r#"{{"connections":{},"requests":{},"errors":{},"busy_rejections":{},"#,
-                    r#""jobs_executed":{},"workers":{},"draining":{},"#,
+                    r#""jobs_executed":{},"worker_panics":{},"workers":{},"draining":{},"#,
                     r#""cache":{{"entries":{},"hits":{},"compiles":{},"evictions":{}}}}}"#
                 ),
                 shared.connections.load(Ordering::SeqCst),
@@ -568,6 +569,7 @@ fn dispatch(body: &[u8], shared: &Arc<Shared>, conn: &Arc<Conn>) -> bool {
                 shared.errors.load(Ordering::Relaxed),
                 shared.busy_rejections.load(Ordering::Relaxed),
                 shared.scheduler.executed(),
+                shared.scheduler.panics(),
                 shared.config.workers,
                 shared.draining.load(Ordering::SeqCst),
                 cache.entries,
@@ -685,8 +687,22 @@ fn submit_simulate(
 
     let shared_for_job = Arc::clone(shared);
     let job = Box::new(move |arena: &mut WorkerArena| {
-        let outcome = run_simulate(arena, &entry, &suite, model, &config);
-        slot.answer(result_frame(&shared_for_job, id, outcome));
+        // A panic still gets the request an answer; rethrown, it makes the
+        // worker count it and replace the arena the run left behind.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_simulate(arena, &entry, &suite, model, &config)
+        }));
+        match run {
+            Ok(outcome) => slot.answer(result_frame(&shared_for_job, id, outcome)),
+            Err(panic) => {
+                let error = ProtocolError::new(
+                    ErrorCode::Internal,
+                    "the simulation failed inside the daemon",
+                );
+                slot.answer(result_frame(&shared_for_job, id, Err(error)));
+                resume_unwind(panic);
+            }
+        }
     });
     if let Err(submit_error) = shared.scheduler.try_submit(job) {
         // The scheduler dropped the job, and with it the slot, so the quota
@@ -740,11 +756,11 @@ fn validate_suite(
         }
     }
     // A suite long enough to blow the run's event budget or to overflow
-    // the femtosecond clock is refused before it is expanded: expanding it
-    // could exhaust memory, and wrapped times would give wrong answers.
-    // Patterns start at 1 ns, one every `period`, so the start of pattern
-    // `count` bounds the last stimulus transition; expanding the suite
-    // computes its pattern times with the same function.
+    // the femtosecond clock is refused before it runs: its set-up alone
+    // would walk every transition, and wrapped times would give wrong
+    // answers.  Patterns start at 1 ns, one every `period`, so the start of
+    // pattern `count` bounds the last stimulus transition; the suite's
+    // generator computes its pattern times with the same function.
     let (transitions, period, count) = match *suite {
         StimulusSuite::RandomVectors {
             vectors, period, ..
@@ -785,7 +801,9 @@ fn run_simulate(
     // the same circuit; other circuits are unaffected.
     let state = entry.read_state();
     let circuit = state.active();
-    let stimuli = suite.stimuli(circuit.netlist(), cache::library());
+    // Each stimulus streams from the suite's generator: nothing per
+    // transition is stored, however long the suite.
+    let stimuli = suite.sources(circuit.netlist(), cache::library());
     let sim_state = arena.adopt(circuit);
 
     let mut rows = String::new();

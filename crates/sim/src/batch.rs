@@ -29,33 +29,37 @@ use halotis_waveform::Stimulus;
 use crate::compiled::CompiledCircuit;
 use crate::config::SimulationConfig;
 use crate::error::SimulationError;
+use crate::feed::StimulusSource;
 use crate::observer::SimObserver;
 use crate::result::SimulationResult;
 use crate::state::{SimState, WorkerArena};
 use crate::stats::SimulationStats;
 
 /// One unit of batch work: a stimulus plus the configuration to run it
-/// under, with a label for reporting.
+/// under, with a label for reporting.  The stimulus is a [`Stimulus`] by
+/// default, or any other [`StimulusSource`].
 #[derive(Clone, Debug)]
-pub struct Scenario {
+pub struct Scenario<S = Stimulus> {
     /// Human-readable scenario label (e.g. `"fig6/ddm"` or `"width=300ps"`).
     pub label: String,
     /// The stimulus to apply.
-    pub stimulus: Stimulus,
+    pub stimulus: S,
     /// The simulation configuration (delay model, limits).
     pub config: SimulationConfig,
 }
 
-impl Scenario {
+impl<S> Scenario<S> {
     /// Creates a scenario.
-    pub fn new(label: impl Into<String>, stimulus: Stimulus, config: SimulationConfig) -> Self {
+    pub fn new(label: impl Into<String>, stimulus: S, config: SimulationConfig) -> Self {
         Scenario {
             label: label.into(),
             stimulus,
             config,
         }
     }
+}
 
+impl<S: Clone> Scenario<S> {
     /// The canonical DDM/CDM scenario pair for one stimulus: element 0 runs
     /// the degradation model (label `<label>/ddm`), element 1 the
     /// conventional model (label `<label>/cdm`), both deriving their other
@@ -66,9 +70,9 @@ impl Scenario {
     /// in one place.
     pub fn both_models(
         label: impl AsRef<str>,
-        stimulus: Stimulus,
+        stimulus: S,
         base: SimulationConfig,
-    ) -> [Scenario; 2] {
+    ) -> [Scenario<S>; 2] {
         let ddm = base
             .clone()
             .model(halotis_delay::DelayModelKind::Degradation);
@@ -282,15 +286,16 @@ impl BatchRunner {
     /// }
     /// # Ok::<(), halotis_sim::SimulationError>(())
     /// ```
-    pub fn run_observed<O, F>(
+    pub fn run_observed<S, O, F>(
         &self,
         circuit: &CompiledCircuit<'_>,
-        scenarios: &[Scenario],
+        scenarios: &[Scenario<S>],
         make_observer: F,
     ) -> ObservedReport<O>
     where
+        S: StimulusSource + Sync,
         O: SimObserver + Send,
-        F: Fn(usize, &Scenario) -> O + Sync,
+        F: Fn(usize, &Scenario<S>) -> O + Sync,
     {
         self.execute(
             circuit,
@@ -340,17 +345,18 @@ impl BatchRunner {
     /// `(index, outcome)` pairs, which the caller sorts into submission
     /// order after the join.  `stats_of` extracts the per-scenario
     /// statistics (or `None` for a failed scenario) for the aggregates.
-    fn execute<T, F, S>(
+    fn execute<S, T, F, G>(
         &self,
         circuit: &CompiledCircuit<'_>,
-        scenarios: &[Scenario],
+        scenarios: &[Scenario<S>],
         job: F,
-        stats_of: S,
+        stats_of: G,
     ) -> BatchSummary<T>
     where
+        S: Sync,
         T: Send,
-        F: Fn(&mut SimState, usize, &Scenario) -> T + Sync,
-        S: Fn(&T) -> Option<&SimulationStats>,
+        F: Fn(&mut SimState, usize, &Scenario<S>) -> T + Sync,
+        G: Fn(&T) -> Option<&SimulationStats>,
     {
         let started = Instant::now();
         let threads = self.threads.get().min(scenarios.len()).max(1);

@@ -24,6 +24,14 @@
 //! (statistics only) are thin wrappers plugging a
 //! [`WaveformRecorder`] or the null observer into that one loop.
 //!
+//! Every run takes its stimulus as a [`StimulusSource`] — a [`Stimulus`],
+//! or a generator such as a corpus suite — and streams it through a
+//! [`StimulusFeed`]: the set-up pass walks each
+//! primary input's transitions once to report them and settle their
+//! Fig. 4 outcomes, and the feed walks them again one window ahead of the
+//! main loop's clock.  Neither keeps anything per transition, so a run's
+//! memory does not grow with the length of its stimulus.
+//!
 //! The tables are laid out CSR-style: per-pin quantities (threshold voltage,
 //! timing arcs) are indexed by the dense pin index of
 //! [`PinMap`], and the fanout adjacency of every net is
@@ -68,6 +76,7 @@ use halotis_waveform::{Stimulus, Transition};
 use crate::config::SimulationConfig;
 use crate::error::SimulationError;
 use crate::event::Event;
+use crate::feed::{FeedPin, StimulusFeed, StimulusSource};
 use crate::observer::{SimObserver, WaveformRecorder};
 use crate::pins::PinMap;
 use crate::queue::ScheduleOutcome;
@@ -611,9 +620,9 @@ impl<'a> CompiledCircuit<'a> {
     /// # Errors
     ///
     /// Same conditions as [`run_with`](CompiledCircuit::run_with).
-    pub fn run(
+    pub fn run<S: StimulusSource + ?Sized>(
         &self,
-        stimulus: &Stimulus,
+        stimulus: &S,
         config: &SimulationConfig,
     ) -> Result<SimulationResult, SimulationError> {
         let mut state = self.new_state();
@@ -638,10 +647,10 @@ impl<'a> CompiledCircuit<'a> {
     /// # Panics
     ///
     /// Panics if `state` was created for a differently sized circuit.
-    pub fn run_with(
+    pub fn run_with<S: StimulusSource + ?Sized>(
         &self,
         state: &mut SimState,
-        stimulus: &Stimulus,
+        stimulus: &S,
         config: &SimulationConfig,
     ) -> Result<SimulationResult, SimulationError> {
         let started = Instant::now();
@@ -663,10 +672,10 @@ impl<'a> CompiledCircuit<'a> {
     /// # Errors
     ///
     /// Same conditions as [`run_with`](CompiledCircuit::run_with).
-    pub fn run_stats(
+    pub fn run_stats<S: StimulusSource + ?Sized>(
         &self,
         state: &mut SimState,
-        stimulus: &Stimulus,
+        stimulus: &S,
         config: &SimulationConfig,
     ) -> Result<SimulationStats, SimulationError> {
         self.run_observed(state, stimulus, config, &mut ())
@@ -680,16 +689,18 @@ impl<'a> CompiledCircuit<'a> {
     /// the observer's choice.  See [`observer`](crate::observer) for the
     /// shipped implementations.
     ///
-    /// A set-up pass walks every primary input's transitions in order,
+    /// The stimulus is any [`StimulusSource`]: a [`Stimulus`], or a source
+    /// that generates each input's transitions on demand.  A
+    /// [`StimulusFeed`] walks it twice and stores nothing per transition: a
+    /// set-up pass walks every primary input's transitions in order,
     /// streaming each to the observer and applying the Fig. 4 rule to the
-    /// events it causes.  Those events are *staged*
-    /// ([`EventQueue::stage`](crate::queue::EventQueue::stage)): numbered
-    /// before every gate event and counted as scheduled and pending, but
-    /// fed to the queue's time wheel only one window ahead of the main
-    /// loop's clock.  Results, statistics and the observer's stream are
-    /// exactly those of scheduling the whole stimulus up front.  With a
-    /// `time_limit`, the set-up pass still reports every stimulus
-    /// transition, including those past the limit.
+    /// events it causes, which are numbered before every gate event and
+    /// counted as scheduled and pending; a second pass feeds the surviving
+    /// events to the queue one window ahead of the main loop's clock.
+    /// Results, statistics and the observer's stream are exactly those of
+    /// scheduling the whole stimulus up front.  With a `time_limit`, the
+    /// set-up pass still reports every stimulus transition, including
+    /// those past the limit.
     ///
     /// # Errors
     ///
@@ -702,10 +713,10 @@ impl<'a> CompiledCircuit<'a> {
     /// # Panics
     ///
     /// Panics if `state` was created for a differently sized circuit.
-    pub fn run_observed<O: SimObserver + ?Sized>(
+    pub fn run_observed<S: StimulusSource + ?Sized, O: SimObserver + ?Sized>(
         &self,
         state: &mut SimState,
-        stimulus: &Stimulus,
+        stimulus: &S,
         config: &SimulationConfig,
         observer: &mut O,
     ) -> Result<SimulationStats, SimulationError> {
@@ -724,47 +735,49 @@ impl<'a> CompiledCircuit<'a> {
         state.check_capacity(self.pins.len(), netlist.gate_count(), netlist.net_count());
 
         // --- initial state --------------------------------------------------
-        let mut assignments = Vec::with_capacity(netlist.primary_inputs().len());
-        for &input in netlist.primary_inputs() {
+        let inputs = netlist.primary_inputs();
+        let mut assignments = Vec::with_capacity(inputs.len());
+        for (index, &input) in inputs.iter().enumerate() {
             let name = netlist.net(input).name();
-            let Some(waveform) = stimulus.waveform(name) else {
+            let Some(level) = stimulus.initial(index, name) else {
                 return Err(SimulationError::UndrivenPrimaryInput {
                     net: name.to_string(),
                 });
             };
-            assignments.push((input, waveform.initial()));
+            assignments.push((input, level));
         }
         let initial_levels = eval::evaluate_with_order(netlist, &self.levels, &assignments);
         state.reset(netlist, &self.pins, &initial_levels);
         observer.begin(self, &initial_levels);
 
         // --- stimulus events ------------------------------------------------
-        // Staged, not scheduled: the queue numbers them first and feeds
-        // them to its wheel one window ahead of the main loop's clock.
-        let mut stats = SimulationStats::default();
-        for &input in netlist.primary_inputs() {
-            let net = netlist.net(input);
-            let waveform = stimulus
-                .waveform(net.name())
-                .expect("checked above: every primary input is driven");
-            for transition in waveform.transitions() {
-                observer.on_transition(input, transition);
-                stats.output_transitions += 1;
-                self.schedule_fanouts(
-                    state,
-                    observer,
-                    input.index(),
-                    transition,
-                    transition.edge().target_level(),
-                    true,
-                );
-            }
+        // Counted at set-up, numbered before every gate event, and fed to
+        // the queue one window ahead of the main loop's clock.
+        let pins = inputs
+            .iter()
+            .map(|input| self.fanout_len[input.index()] as usize)
+            .sum();
+        let mut feed = StimulusFeed::with_capacity(inputs.len(), pins);
+        for (index, &input) in inputs.iter().enumerate() {
+            let name = netlist.net(input).name();
+            feed.add_input(
+                &mut state.queue,
+                observer,
+                input,
+                self.feed_pins(input.index()),
+                stimulus.transitions(index, name),
+                stimulus.transitions(index, name),
+            );
         }
+        let mut stats = SimulationStats {
+            output_transitions: feed.transitions(),
+            ..SimulationStats::default()
+        };
 
         // --- main loop (paper Fig. 4) ---------------------------------------
         // Every lookup below walks the flat compiled tables by dense pin /
         // gate index; the netlist's gate objects are never touched here.
-        while let Some((dense, event)) = state.queue.pop_indexed() {
+        while let Some((dense, event)) = feed.pop(&mut state.queue) {
             if let Some(limit) = config.time_limit {
                 if event.time > limit {
                     break;
@@ -853,14 +866,7 @@ impl<'a> CompiledCircuit<'a> {
             state.last_output_start[gate_index] = transition.start();
             state.output_target[gate_index] = new_output;
 
-            self.schedule_fanouts(
-                state,
-                observer,
-                output_net.index(),
-                &transition,
-                new_output,
-                false,
-            );
+            self.schedule_fanouts(state, observer, output_net.index(), &transition, new_output);
         }
 
         stats.events_scheduled = state.queue.scheduled();
@@ -891,10 +897,22 @@ impl<'a> CompiledCircuit<'a> {
         ))
     }
 
-    /// Schedules the events one output transition generates: one per fanout
-    /// input whose threshold the ramp crosses, each at its own precomputed
-    /// crossing progress (paper Fig. 3) — shared by the stimulus loop, which
-    /// stages them (`stimulus`), and the main loop.
+    /// The fanout inputs of primary input net `net_index` whose thresholds
+    /// its ramps cross, as the [`StimulusFeed`] sees them.
+    fn feed_pins(&self, net_index: usize) -> impl Iterator<Item = FeedPin> + '_ {
+        let window = self.fanout_start[net_index] as usize;
+        (window..window + self.fanout_len[net_index] as usize)
+            .filter(|&row| self.fanout_progress[row][0] >= 0.0)
+            .map(|row| FeedPin {
+                dense: self.fanout_dense[row] as usize,
+                pin: self.fanout_pins[row],
+                progress: self.fanout_progress[row],
+            })
+    }
+
+    /// Schedules the events one gate output transition generates: one per
+    /// fanout input whose threshold the ramp crosses, each at its own
+    /// precomputed crossing progress (paper Fig. 3).
     #[inline]
     fn schedule_fanouts<O: SimObserver + ?Sized>(
         &self,
@@ -903,7 +921,6 @@ impl<'a> CompiledCircuit<'a> {
         net_index: usize,
         transition: &Transition,
         target: LogicLevel,
-        stimulus: bool,
     ) {
         let edge_index = match transition.edge() {
             Edge::Rise => 0,
@@ -919,12 +936,7 @@ impl<'a> CompiledCircuit<'a> {
                 let pin = self.fanout_pins[row];
                 let dense = self.fanout_dense[row] as usize;
                 let event = Event::new(crossing, pin, target, slew);
-                let outcome = if stimulus {
-                    state.queue.stage(dense, event, start)
-                } else {
-                    state.queue.schedule(dense, event)
-                };
-                if outcome == ScheduleOutcome::CancelledPrevious {
+                if state.queue.schedule(dense, event) == ScheduleOutcome::CancelledPrevious {
                     observer.on_event_filtered(pin, crossing);
                 }
             }

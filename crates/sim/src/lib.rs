@@ -13,6 +13,9 @@
 //!   same input deletes it: that is where runt pulses die, per input); its
 //!   per-input pending lists alone decide which queued events are live,
 //!   over the [`wheel`] that orders them,
+//! * [`feed`] — the [`StimulusSource`] a run reads and the
+//!   [`StimulusFeed`] that streams it into the queue one window at a time,
+//!   storing nothing per transition,
 //! * [`compiled`] / [`state`] — the compile-once/run-many core: a
 //!   [`CompiledCircuit`] holds every static table in flat arrays, a
 //!   [`SimState`] arena holds the per-run mutable state and is reset (not
@@ -87,6 +90,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod feed;
 pub mod observer;
 pub mod pins;
 pub mod power;
@@ -107,6 +111,7 @@ pub use config::SimulationConfig;
 pub use engine::Simulator;
 pub use error::SimulationError;
 pub use event::Event;
+pub use feed::{StimulusFeed, StimulusSource};
 pub use observer::{ActivityCounter, PowerAccumulator, SimObserver, WaveformRecorder};
 pub use result::SimulationResult;
 pub use state::{SimState, WorkerArena};

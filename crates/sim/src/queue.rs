@@ -25,24 +25,20 @@
 //! is in time order, so its front is the earliest of the input's live
 //! events.  Nothing is hashed on either path.
 //!
-//! Stimulus is **staged**, not scheduled up front.  [`EventQueue::stage`]
-//! applies the same Fig. 4 rule, numbers a surviving event as scheduling it
-//! would and counts it as pending, but only an event whose transition
-//! starts within the current window goes into the wheel at once; a later
-//! one waits in a buffer, and is fed even if a cancellation took it off
-//! its pending list meanwhile.  Pops feed the buffer into the wheel half a
-//! ring ahead of the queue's clock, one window at a time, through the
-//! wheel's bounded `pop_through`.  A long stimulus (the s27 soak stages
-//! 20,050 events) therefore never crowds the wheel: its pending set spans
-//! about one ring, the range in which a calendar queue stays `O(1)`,
-//! instead of spilling into the far-future heap.  Pop order, counters and the
-//! high-water mark are exactly those of scheduling the whole stimulus up
-//! front; `crates/bench/tests/queue_properties.rs` checks that against the
-//! retired `BinaryHeap` + `HashSet` queue, which `halotis_bench` keeps as
-//! its executable specification.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Primary-input stimulus does not pass through
+//! [`schedule`](EventQueue::schedule): a pin a primary input drives gets
+//! that input's events alone, so the run's set-up settles every such pin's
+//! Fig. 4 outcomes for good without storing them, and the
+//! [`StimulusFeed`](crate::feed::StimulusFeed) later pushes each surviving
+//! event into the wheel, one window ahead of the queue's clock, under the
+//! serial set-up gave it.  Until then an event is counted as scheduled and
+//! pending — [`len`](EventQueue::len) and
+//! [`high_water`](EventQueue::high_water) include it — but holds no wheel
+//! entry and no pending-list node.  Pop order, counters and the high-water
+//! mark are exactly those of scheduling the whole stimulus up front;
+//! `crates/bench/tests/queue_properties.rs` checks that against the retired
+//! `BinaryHeap` + `HashSet` queue, which `halotis_bench` keeps as its
+//! executable specification.
 
 use halotis_core::{Time, TimeDelta};
 
@@ -79,10 +75,10 @@ const _: () = assert!(std::mem::size_of::<(Time, u64, u32, u32)>() == 24);
 ///
 /// A `Vec<VecDeque<_>>` layout costs one heap buffer per active pin per
 /// state — a few hundred allocations per batch on corpus circuits — while
-/// the arena costs one, reused via a free list.  A stimulus-fed pin keeps
-/// its whole stimulus pending from set-up on, so the Fig. 4 cancellation
-/// (`pop_back`) follows the tail's back link instead of walking from the
-/// head.
+/// the arena costs one, reused via a free list.  A list can run deep — a
+/// primary input's fed window of stimulus, or a gate input under a fast
+/// pulse train — so the Fig. 4 cancellation (`pop_back`) follows the
+/// tail's back link instead of walking from the head.
 #[derive(Clone, Debug)]
 struct PendingLists {
     /// Arena node: `(event time, wheel serial, next toward the back, previous
@@ -193,19 +189,9 @@ impl PendingLists {
     }
 }
 
-/// A staged stimulus event waiting for the feed horizon to reach it.
-#[derive(Clone, Copy, Debug)]
-struct StagedEvent {
-    /// Start of the causing transition, no later than the event's time:
-    /// the key the feed walks each run by.
-    start: Time,
-    serial: u64,
-    queued: QueuedEvent,
-}
-
 /// A feed reaches this fraction of the wheel's ring span past the queue's
 /// clock: half a ring, which leaves the other half for a fed event's
-/// distance from its transition's start and for the cursor's lag.
+/// distance from its transition's start and for the feed's lag.
 const FEED_WINDOW_DIVISOR: i64 = 2;
 
 /// Time-ordered event queue with the per-input cancellation rule.
@@ -230,19 +216,8 @@ const FEED_WINDOW_DIVISOR: i64 = 2;
 pub struct EventQueue {
     wheel: TimeWheel<QueuedEvent>,
     pending: PendingLists,
-    /// Staged events not due when staged, in staging (and serial) order.
-    staged: Vec<StagedEvent>,
-    /// One entry per run of staged events whose starts never decrease and
-    /// that still has events to feed: the start and index of its next
-    /// event, earliest start first.
-    runs: BinaryHeap<Reverse<(Time, usize)>>,
-    /// Stimulus starting before the horizon is in the wheel; every waiting
-    /// event starts at or after it.  [`Time::MIN`] until the first stage.
-    horizon: Time,
-    /// The latest time the wheel may pop: just before the horizon while
-    /// runs wait, [`Time::MAX`] otherwise.
-    through: Time,
-    /// Pending events: the entries of all pending lists.
+    /// Pending events: the entries of all pending lists plus the stimulus
+    /// events counted at set-up and not fed yet.
     live: usize,
     scheduled: usize,
     filtered: usize,
@@ -255,10 +230,6 @@ impl EventQueue {
         EventQueue {
             wheel: TimeWheel::new(),
             pending: PendingLists::new(pin_count),
-            staged: Vec::new(),
-            runs: BinaryHeap::new(),
-            horizon: Time::MIN,
-            through: Time::MAX,
             live: 0,
             scheduled: 0,
             filtered: 0,
@@ -273,8 +244,13 @@ impl EventQueue {
     ///
     /// Panics if `pin_index` is out of range for the queue.
     pub fn schedule(&mut self, pin_index: usize, event: Event) -> ScheduleOutcome {
-        if self.cancels_previous(pin_index, event.time) {
-            return ScheduleOutcome::CancelledPrevious;
+        if let Some(previous_time) = self.pending.back(pin_index) {
+            if event.time <= previous_time {
+                // Its wheel entry stays; the pop loop will drop it.
+                self.pending.pop_back(pin_index);
+                self.count_cancel();
+                return ScheduleOutcome::CancelledPrevious;
+            }
         }
         let serial = self.wheel.push(
             event.time,
@@ -283,168 +259,55 @@ impl EventQueue {
                 event,
             },
         );
-        self.inserted(pin_index, event.time, serial);
+        self.pending.push_back(pin_index, event.time, serial);
+        self.count_insert();
         ScheduleOutcome::Inserted
     }
 
-    /// [`schedule`](EventQueue::schedule) for a stimulus event: the same
-    /// Fig. 4 outcome, counters, high-water mark and serial, but a surviving
-    /// event that starts a window or more past the queue's clock waits in
-    /// the staging buffer until a pop feeds it to the wheel.
-    ///
-    /// `start` is the start of the transition causing the event, no later
-    /// than `event.time`.  The first staged event sets the first window.
-    /// Consecutive waiting events whose starts never decrease form one run,
-    /// and each run is fed in order, so staging every input's transitions
-    /// in order costs one run per input.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use halotis_core::{GateId, LogicLevel, PinRef, Time, TimeDelta};
-    /// use halotis_sim::event::Event;
-    /// use halotis_sim::queue::EventQueue;
-    ///
-    /// let mut queue = EventQueue::new(2);
-    /// let event = |ns, pin| {
-    ///     let pin = PinRef::new(GateId::new(pin), 0);
-    ///     Event::new(Time::from_ns(ns), pin, LogicLevel::High, TimeDelta::from_ps(100.0))
-    /// };
-    /// // The second event lies a microsecond out: it waits to be fed.
-    /// queue.stage(0, event(1.0, 0), Time::from_ns(1.0));
-    /// queue.stage(0, event(1000.0, 0), Time::from_ns(1000.0));
-    /// assert_eq!(queue.len(), 2);
-    /// // A gate event scheduled at the same instant pops after the staged one.
-    /// queue.schedule(1, event(1000.0, 1));
-    /// let order: Vec<usize> = std::iter::from_fn(|| queue.pop())
-    ///     .map(|e| e.pin.gate().index())
-    ///     .collect();
-    /// assert_eq!(order, vec![0, 0, 1]);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is later than `event.time`.
-    pub fn stage(&mut self, pin_index: usize, event: Event, start: Time) -> ScheduleOutcome {
-        assert!(start <= event.time, "an event precedes its transition");
-        if self.cancels_previous(pin_index, event.time) {
-            return ScheduleOutcome::CancelledPrevious;
-        }
-        if self.horizon == Time::MIN {
-            self.horizon = start.saturating_add(self.window());
-        }
-        let queued = QueuedEvent {
-            pin_index: pin_index as u32,
-            event,
-        };
-        let serial = if self.due(start) {
-            self.wheel.push(event.time, queued)
-        } else {
-            let serial = self.wheel.reserve_serial();
-            // A decreasing start, or a last event already fed, begins a run.
-            if self
-                .staged
-                .last()
-                .is_none_or(|last| start < last.start || self.due(last.start))
-            {
-                self.runs.push(Reverse((start, self.staged.len())));
-            }
-            self.staged.push(StagedEvent {
-                start,
-                serial,
-                queued,
-            });
-            self.through = self.horizon - TimeDelta::from_fs(1);
-            serial
-        };
-        self.inserted(pin_index, event.time, serial);
-        ScheduleOutcome::Inserted
-    }
-
-    /// The Fig. 4 test: when an event at `time` does not come after the
-    /// input's latest pending event, takes that event off the pending list
-    /// — wherever its entry is, wheel or staging buffer, the pop loop will
-    /// drop it — and returns `true`.  This and
-    /// [`inserted`](EventQueue::inserted) serve both `schedule` and
-    /// `stage`, and are always inlined so `schedule`, the event loop's,
-    /// stays one function.
+    /// Counts an inserted event: scheduled and pending, and the high-water
+    /// mark.  A stimulus event is counted here at set-up, while it is
+    /// stored nowhere: it enters the wheel and its pin's pending list only
+    /// when [`feed`](EventQueue::feed) pushes it.
     #[inline(always)]
-    fn cancels_previous(&mut self, pin_index: usize, time: Time) -> bool {
-        match self.pending.back(pin_index) {
-            Some(previous_time) if time <= previous_time => {
-                self.pending.pop_back(pin_index);
-                self.live -= 1;
-                self.filtered += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Books an inserted event: the input's pending list, the counters and
-    /// the high-water mark.
-    #[inline(always)]
-    fn inserted(&mut self, pin_index: usize, time: Time, serial: u64) {
-        self.pending.push_back(pin_index, time, serial);
+    pub(crate) fn count_insert(&mut self) {
         self.live += 1;
         self.scheduled += 1;
         self.high_water = self.high_water.max(self.live);
     }
 
-    /// How far a feed reaches past the queue's clock.
-    fn window(&self) -> TimeDelta {
-        self.wheel.span() / FEED_WINDOW_DIVISOR
+    /// Counts a Fig. 4 cancellation: the previous event on the pin leaves
+    /// the pending count, and the cancelling one is never inserted.
+    #[inline(always)]
+    pub(crate) fn count_cancel(&mut self) {
+        self.live -= 1;
+        self.filtered += 1;
     }
 
-    /// `true` for a stimulus start the wheel already covers: before the
-    /// horizon, or anything once the horizon reached the end of time.
+    /// Reserves the next `count` serials for stimulus events fed later,
+    /// returning the first: every event scheduled afterwards is numbered
+    /// after them.
+    pub(crate) fn reserve_serials(&mut self, count: u64) -> u64 {
+        self.wheel.reserve_serials(count)
+    }
+
+    /// Pushes a stimulus event that set-up counted and that no cancellation
+    /// removed into the wheel, under its reserved `serial`, and onto its
+    /// pin's pending list.  The counters do not move: the event has been
+    /// pending since set-up.
     #[inline]
-    fn due(&self, start: Time) -> bool {
-        start < self.horizon || self.horizon == Time::MAX
+    pub(crate) fn feed(&mut self, pin_index: usize, event: Event, serial: u64) {
+        let queued = QueuedEvent {
+            pin_index: pin_index as u32,
+            event,
+        };
+        self.wheel.push_reserved(event.time, serial, queued);
+        self.pending.push_back(pin_index, event.time, serial);
     }
 
-    /// Called when the wheel holds nothing up to `through`: moves the
-    /// horizon one window past the later of itself and the earliest unfed
-    /// start, pushes every waiting event whose transition starts before it
-    /// into the wheel, and lifts the bound once no run waits.  `false`
-    /// when the bound was already lifted, so the queue is empty.
-    #[cold]
-    #[inline(never)]
-    fn feed(&mut self) -> bool {
-        if self.through == Time::MAX {
-            return false;
-        }
-        let &Reverse((next_start, _)) = self.runs.peek().expect("a bounded queue has staged runs");
-        self.horizon = self.horizon.max(next_start).saturating_add(self.window());
-        while let Some(&Reverse((start, first))) = self.runs.peek() {
-            if !self.due(start) {
-                break;
-            }
-            self.runs.pop();
-            let mut index = first;
-            loop {
-                let staged = self.staged[index];
-                self.wheel
-                    .push_reserved(staged.queued.event.time, staged.serial, staged.queued);
-                index += 1;
-                match self.staged.get(index) {
-                    // A decreasing start begins another run.
-                    Some(next) if next.start < staged.start => break,
-                    Some(next) if !self.due(next.start) => {
-                        self.runs.push(Reverse((next.start, index)));
-                        break;
-                    }
-                    Some(_) => {}
-                    None => break,
-                }
-            }
-        }
-        self.through = if self.runs.is_empty() {
-            Time::MAX
-        } else {
-            self.horizon - TimeDelta::from_fs(1)
-        };
-        true
+    /// How far a feed reaches past the queue's clock: half the wheel's
+    /// ring, so fed stimulus never lands in the far-future spill.
+    pub(crate) fn feed_window(&self) -> TimeDelta {
+        self.wheel.span() / FEED_WINDOW_DIVISOR
     }
 
     /// Re-dimensions the queue for another circuit (shrink allowed) and
@@ -456,9 +319,9 @@ impl EventQueue {
     }
 
     /// Clears the queue back to its freshly constructed condition while
-    /// keeping every allocation (wheel buckets, per-pin pending slots, the
-    /// staging buffer), so a reused [`SimState`](crate::SimState) arena
-    /// schedules its next run without reallocating.
+    /// keeping every allocation (wheel buckets, per-pin pending slots), so
+    /// a reused [`SimState`](crate::SimState) arena schedules its next run
+    /// without reallocating.
     ///
     /// The serial counter restarts at zero too: equal-time events are
     /// ordered by insertion serial, so a reset queue must hand out the same
@@ -472,10 +335,6 @@ impl EventQueue {
     /// lists.
     fn clear(&mut self) {
         self.wheel.reset();
-        self.staged.clear();
-        self.runs.clear();
-        self.horizon = Time::MIN;
-        self.through = Time::MAX;
         self.live = 0;
         self.scheduled = 0;
         self.filtered = 0;
@@ -483,21 +342,21 @@ impl EventQueue {
     }
 
     /// Pops the earliest live event together with the dense pin index it was
-    /// scheduled for — the engine's hot-loop entry point, saving it the
-    /// `PinRef` → dense re-resolution.
-    ///
-    /// Takes the earliest wheel entry, feeding staged stimulus when the
-    /// wheel runs dry, and returns it if it is its pin's pending front;
-    /// any other entry was cancelled and is dropped.
-    #[inline]
+    /// scheduled for, saving the caller the `PinRef` → dense re-resolution.
     pub fn pop_indexed(&mut self) -> Option<(usize, Event)> {
+        self.pop_through(Time::MAX)
+    }
+
+    /// [`pop_indexed`](EventQueue::pop_indexed) limited to events at or
+    /// before `last` — the event loop's entry point, bounded just short of
+    /// the stimulus feed's horizon.
+    ///
+    /// Takes the earliest wheel entry and returns it if it is its pin's
+    /// pending front; any other entry was cancelled and is dropped.
+    #[inline]
+    pub(crate) fn pop_through(&mut self, last: Time) -> Option<(usize, Event)> {
         loop {
-            let Some((_, serial, queued)) = self.wheel.pop_through(self.through) else {
-                if self.feed() {
-                    continue;
-                }
-                return None;
-            };
+            let (_, serial, queued) = self.wheel.pop_through(last)?;
             let pin_index = queued.pin_index as usize;
             if self.pending.pop_front_if(pin_index, serial) {
                 self.live -= 1;
@@ -511,7 +370,7 @@ impl EventQueue {
         self.pop_indexed().map(|(_, event)| event)
     }
 
-    /// Number of pending events, staged ones included.
+    /// Number of pending events, stimulus not yet fed included.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -521,8 +380,8 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Total number of events that were inserted into the queue, staged
-    /// ones included.
+    /// Total number of events that were inserted into the queue, stimulus
+    /// counted at set-up included.
     pub fn scheduled(&self) -> usize {
         self.scheduled
     }
@@ -533,7 +392,7 @@ impl EventQueue {
         self.filtered
     }
 
-    /// The largest number of pending events — staged ones included — the
+    /// The largest number of pending events — unfed stimulus included — the
     /// queue held at any instant since construction or the last
     /// [`reset`](EventQueue::reset): the queue-depth high-water mark of the
     /// soak-scenario event-budget telemetry.  Sampled after every
@@ -723,21 +582,36 @@ mod tests {
 
     #[test]
     fn stimulus_at_the_end_of_time_is_fed_without_wrapping() {
+        use crate::feed::{FeedPin, StimulusFeed};
+        use halotis_core::{Edge, NetId};
+        use halotis_waveform::Transition;
+
         let mut queue = EventQueue::new(2);
         let late = Time::MAX - TimeDelta::from_fs(1);
-        let last = Event::new(
-            late,
-            PinRef::new(GateId::new(1), 0),
-            LogicLevel::High,
-            TimeDelta::ZERO,
-        );
-        queue.stage(0, event(1.0, 0), Time::from_ns(1.0));
-        // Far past the first window: it waits, and its feed clamps the
-        // horizon at the end of time instead of overflowing.
-        queue.stage(1, last, late);
-        assert_eq!(queue.pop().map(|e| e.time), Some(Time::from_ns(1.0)));
-        assert_eq!(queue.pop().map(|e| e.time), Some(late));
-        assert_eq!(queue.pop(), None);
+        let mut feed = StimulusFeed::with_capacity(2, 2);
+        for (pin, start) in [(0, Time::from_ns(1.0)), (1, late)] {
+            let edge = [Transition::new(start, TimeDelta::from_fs(1), Edge::Rise)];
+            let pin = FeedPin {
+                dense: pin,
+                pin: PinRef::new(GateId::new(pin as u32), 0),
+                progress: [0.0, 1.0],
+            };
+            feed.add_input(
+                &mut queue,
+                &mut (),
+                NetId::from_usize(pin.dense),
+                [pin],
+                edge,
+                edge.into_iter(),
+            );
+        }
+        // The second edge lies far past the first window: its feed clamps
+        // the horizon at the end of time instead of overflowing.
+        assert_eq!(queue.len(), 2);
+        let mut pop = || feed.pop(&mut queue).map(|(_, e)| e.time);
+        assert_eq!(pop(), Some(Time::from_ns(1.0)));
+        assert_eq!(pop(), Some(late));
+        assert_eq!(pop(), None);
     }
 
     proptest! {

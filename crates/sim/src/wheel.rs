@@ -42,12 +42,12 @@
 //! reused wheel is indistinguishable from a fresh one.
 //! [`push`](TimeWheel::push) numbers an entry as it inserts it, so
 //! equal-time pushes pop in insertion order; the crate-internal
-//! `reserve_serial` hands a number out ahead of its `push_reserved`, which
-//! is how the [`EventQueue`](crate::queue::EventQueue) numbers staged
-//! stimulus before every gate event yet inserts it later.  The queue feeds
-//! that stimulus through `pop_through`, a pop bounded by the feed horizon
-//! that never moves the cursor past the bound's day, so what is fed next
-//! still lands in the ring.
+//! `reserve_serials` hands numbers out ahead of their `push_reserved`,
+//! which is how the [`EventQueue`](crate::queue::EventQueue) numbers
+//! primary-input stimulus before every gate event yet inserts it later.
+//! The event loop pops through `pop_through`, a pop bounded by the
+//! stimulus feed's horizon that never moves the cursor past the bound's
+//! day, so what is fed next still lands in the ring.
 
 use halotis_core::{Time, TimeDelta};
 use std::cmp::Reverse;
@@ -245,27 +245,27 @@ impl<T: Copy> TimeWheel<T> {
         TimeDelta::from_fs((self.mask + 1).saturating_mul(1 << self.shift))
     }
 
-    /// Hands out the next serial without inserting anything.  An entry
-    /// inserted under it later with
+    /// Hands out the next `count` serials without inserting anything and
+    /// returns the first.  An entry inserted under one of them later with
     /// [`push_reserved`](TimeWheel::push_reserved) pops, at equal times,
     /// before every entry numbered after this call.
-    pub(crate) fn reserve_serial(&mut self) -> u64 {
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        serial
+    pub(crate) fn reserve_serials(&mut self, count: u64) -> u64 {
+        let first = self.next_serial;
+        self.next_serial += count;
+        first
     }
 
     /// Inserts an entry and returns its serial number (the equal-time
     /// tie-break key, handed back by the pop that returns the entry).
     #[inline(always)]
     pub fn push(&mut self, time: Time, payload: T) -> u64 {
-        let serial = self.reserve_serial();
+        let serial = self.reserve_serials(1);
         self.push_reserved(time, serial, payload);
         serial
     }
 
     /// Inserts an entry under a serial from
-    /// [`reserve_serial`](TimeWheel::reserve_serial).  A reserved serial is
+    /// [`reserve_serials`](TimeWheel::reserve_serials).  A reserved serial is
     /// pushed at most once.
     ///
     /// Always inlined, as are [`push`](TimeWheel::push) and
@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(wheel.cursor_day, 5);
         // A reserved serial handed out before an auto-numbered push pops
         // first at the same instant, though pushed after it.
-        let reserved = wheel.reserve_serial();
+        let reserved = wheel.reserve_serials(1);
         let auto = wheel.push(Time::from_fs(900), 3);
         wheel.push_reserved(Time::from_fs(900), reserved, 2);
         assert_eq!(
@@ -575,7 +575,7 @@ mod tests {
                 let time = slot * 1_000;
                 let payload = index as u32;
                 if action == 0 {
-                    reserved.push((time, wheel.reserve_serial(), payload));
+                    reserved.push((time, wheel.reserve_serials(1), payload));
                 } else {
                     let serial = wheel.push(Time::from_fs(time), payload);
                     model.push((time, serial, payload));

@@ -57,7 +57,13 @@ impl Stimulus {
     /// Driving the level the input already targets is a no-op, so vector
     /// sequences can be applied blindly.  Inputs that were never declared
     /// with [`set_initial`](Stimulus::set_initial) start at
-    /// [`LogicLevel::Low`].
+    /// [`LogicLevel::Low`].  An input's drives come in time order, so its
+    /// transitions have non-decreasing starts and alternate in edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the input, on a drive that would add a transition
+    /// starting before the input's last one.
     pub fn drive(&mut self, input: impl Into<String>, time: Time, level: LogicLevel) {
         let name = input.into();
         if self.inputs.get(&name).is_none() {
@@ -67,18 +73,22 @@ impl Stimulus {
         let slew = self.default_slew;
         let waveform = self.inputs.get_mut(&name).expect("just inserted");
         let current = waveform.final_target();
-        if let Some(edge) = Edge::between(current, level) {
-            waveform.push(Transition::new(time, slew, edge));
-        } else if current == LogicLevel::Unknown && level.is_defined() {
+        let edge = match Edge::between(current, level) {
+            Some(edge) => edge,
             // First defined value of an unknown input: drive it as an edge
             // from the opposite rail so downstream gates see a transition.
-            let edge = if level == LogicLevel::High {
-                Edge::Rise
-            } else {
-                Edge::Fall
-            };
-            waveform.push(Transition::new(time, slew, edge));
+            None if current == LogicLevel::Unknown && level == LogicLevel::High => Edge::Rise,
+            None if current == LogicLevel::Unknown && level == LogicLevel::Low => Edge::Fall,
+            None => return,
+        };
+        if let Some(last) = waveform.transitions().last() {
+            assert!(
+                time >= last.start(),
+                "input {name}: a drive at {time:?} starts before its last transition at {:?}",
+                last.start()
+            );
         }
+        waveform.push(Transition::new(time, slew, edge));
     }
 
     /// Drives an ordered list of single-bit inputs (`bits[0]` = LSB) with the
@@ -228,6 +238,31 @@ mod tests {
         let b3 = stim.waveform("b3").unwrap();
         assert_eq!(b3.len(), 3);
         assert!(stim.last_activity().unwrap() >= Time::from_ns(20.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "input x: a drive at")]
+    fn an_out_of_order_drive_panics() {
+        let mut stim = Stimulus::new(TimeDelta::from_ps(100.0));
+        stim.drive("x", Time::from_ns(5.0), LogicLevel::High);
+        // Held at its level: a no-op, so the order does not matter.
+        stim.drive("x", Time::from_ns(1.0), LogicLevel::High);
+        stim.drive("x", Time::from_ns(3.0), LogicLevel::Low);
+    }
+
+    #[test]
+    fn drives_at_the_last_transitions_start_are_in_order() {
+        let mut stim = Stimulus::new(TimeDelta::from_ps(100.0));
+        stim.drive("x", Time::from_ns(5.0), LogicLevel::High);
+        stim.drive("x", Time::from_ns(5.0), LogicLevel::Low);
+        let edges: Vec<Edge> = stim
+            .waveform("x")
+            .unwrap()
+            .transitions()
+            .iter()
+            .map(|t| t.edge())
+            .collect();
+        assert_eq!(edges, vec![Edge::Rise, Edge::Fall]);
     }
 
     #[test]

@@ -933,16 +933,17 @@ fn an_answer_trickled_out_past_the_timeout_closes_the_connection() {
             ..test_config()
         },
     );
-    // `unknown_key` echoes the key, so a long key asks for a long answer.
-    // The request is built before connecting, lest the connection idle out.
-    let key = "x".repeat(8 << 20);
-    let request = revert_request(1, &key);
+    // A `load` answer echoes the circuit's name, so a long name asks for a
+    // long answer.  The request is built before connecting, lest the
+    // connection idle out.
+    let name = "x".repeat(8 << 20);
+    let request = load_request(1, &renamed_c17(&name));
     let mut client = UnixStream::connect(&path).unwrap();
     write_frame(&mut client, request.as_bytes()).unwrap();
     let mut prefix = [0u8; 4];
     client.read_exact(&mut prefix).unwrap();
     let announced = u32::from_be_bytes(prefix) as usize;
-    assert!(announced > key.len());
+    assert!(announced > name.len());
 
     let started = Instant::now();
     let mut chunk = vec![0u8; 64 << 10];
@@ -960,6 +961,90 @@ fn an_answer_trickled_out_past_the_timeout_closes_the_connection() {
         started.elapsed()
     );
     drop(client);
+    stop(handle);
+}
+
+/// The c17 netlist text under another circuit name.
+fn renamed_c17(name: &str) -> String {
+    let text = c17_text();
+    let (_, body) = text.split_once('\n').expect("a circuit line");
+    format!("circuit {name}\n{body}")
+}
+
+#[test]
+fn error_answers_do_not_echo_megabyte_tokens() {
+    // Error messages quote the key or netlist token at fault; an 8 MiB one
+    // must still get a short answer, and the daemon keeps serving.
+    let (handle, addr) = start_daemon(ServerConfig {
+        max_frame: 16 << 20,
+        ..test_config()
+    });
+    let token = "x".repeat(8 << 20);
+    let bad_key = revert_request(1, &token);
+    let bad_netlist = load_request(2, &format!("circuit c\n{token} a b\n"));
+    for (request, code) in [(bad_key, "unknown_key"), (bad_netlist, "netlist_error")] {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        write_frame(&mut stream, request.as_bytes()).unwrap();
+        let answer = read_frame(&mut stream, 1 << 20)
+            .unwrap()
+            .expect("an error answer");
+        let text = String::from_utf8(answer).unwrap();
+        assert!(
+            text.len() < 1024,
+            "a {}-byte answer: {text:.200}",
+            text.len()
+        );
+        assert!(text.contains(&format!(r#""code":"{code}""#)), "{text}");
+        assert!(text.contains("bytes, truncated"), "{text}");
+    }
+    let mut client = connect(&addr);
+    assert!(!load_c17(&mut client, 3).is_empty());
+    stop(handle);
+}
+
+#[test]
+fn out_of_range_thresholds_are_refused_in_both_formats() {
+    // A threshold override outside (0, 1) would leave its pin without
+    // events; the load is refused, and the daemon keeps serving.
+    let (handle, addr) = start_daemon(test_config());
+    let mut client = connect(&addr);
+    let load = |id: u64, text: &str, format: &str| {
+        format!(
+            r#"{{"op":"load","id":{id},"netlist":{},"format":"{format}"}}"#,
+            json::string(text)
+        )
+    };
+    let mut id = 1;
+    for fraction in ["2.0", "-1", "NaN", "inf", "0", "1", "0.3"] {
+        let net = format!("circuit vt\ninput a\noutput y\ngate inv g a -> y vt={fraction}\n");
+        let verilog = format!(
+            "module vt (a, y);\n  input a;\n  output y;\n  (* vt = \"{fraction}\" *) not g (y, a);\nendmodule\n"
+        );
+        for (text, format) in [(net, "net"), (verilog, "verilog")] {
+            id += 1;
+            let response = client.call(&load(id, &text, format)).unwrap();
+            if fraction == "0.3" {
+                assert!(
+                    response.ok().is_some(),
+                    "{format}: {:?}",
+                    response.error_message()
+                );
+            } else {
+                assert_eq!(
+                    response.error_code(),
+                    Some("netlist_error"),
+                    "{format} vt={fraction}"
+                );
+                let message = response.error_message().unwrap_or_default();
+                assert!(
+                    message.contains("outside (0, 1)"),
+                    "{format} vt={fraction}: {message}"
+                );
+            }
+        }
+    }
+    let mut second = connect(&addr);
+    assert!(!load_c17(&mut second, 100).is_empty());
     stop(handle);
 }
 
