@@ -22,9 +22,9 @@ use rand::{Rng, SeedableRng};
 /// Most input patterns a suite may sweep exhaustively (2^12 vectors).
 pub const MAX_EXHAUSTIVE_INPUTS: usize = 12;
 
-/// Why generating a suite may assume its pattern times fit the clock.
+/// Why generating a suite may assume its transition times fit the clock.
 const FITS_THE_CLOCK: &str = "pattern time overflows the femtosecond clock; \
-     halotis-serve's validate_suite refuses suites whose pattern_start(period, count) is None";
+     StimulusSuite::check refuses suites whose last transition does not fit";
 
 /// When a toggle probe's pulse starts.
 const PROBE_AT_NS: f64 = 2.0;
@@ -114,32 +114,106 @@ impl StimulusSuite {
         }
     }
 
+    /// Checks that the suite can run on a circuit with `inputs` primary
+    /// inputs within a run's `max_events` budget, naming the first rule
+    /// it breaks:
+    ///
+    /// * a suite drives 1 to 64 inputs, and an
+    ///   [`Exhaustive`](StimulusSuite::Exhaustive) one at most
+    ///   [`MAX_EXHAUSTIVE_INPUTS`];
+    /// * periods and pulses are not negative, and a clock shape satisfies
+    ///   `0 < high`, `0 <= skew` and `high + skew < period`, so each
+    ///   input's transitions come in order;
+    /// * the suite drives at most `max_events` stimulus transitions;
+    /// * its last transition time fits the femtosecond clock.
+    ///
+    /// # Errors
+    ///
+    /// The broken rule, as a message.
+    pub fn check(&self, inputs: usize, max_events: usize) -> Result<(), String> {
+        if inputs == 0 || inputs > 64 {
+            return Err(format!(
+                "stimulus suites need 1–64 primary inputs, circuit has {inputs}"
+            ));
+        }
+        if matches!(self, StimulusSuite::Exhaustive { .. }) && inputs > MAX_EXHAUSTIVE_INPUTS {
+            return Err(format!(
+                "exhaustive sweep limited to {MAX_EXHAUSTIVE_INPUTS} inputs, circuit has {inputs}"
+            ));
+        }
+        let broken = match *self {
+            StimulusSuite::RandomVectors { period, .. } | StimulusSuite::Exhaustive { period } => {
+                period
+                    .is_negative()
+                    .then_some("suite periods must not be negative")
+            }
+            StimulusSuite::ToggleProbes { pulse, .. } => pulse
+                .is_negative()
+                .then_some("probe pulses must not be negative"),
+            StimulusSuite::Clocked {
+                period, high, skew, ..
+            } => {
+                let in_order = TimeDelta::ZERO < high
+                    && TimeDelta::ZERO <= skew
+                    && high
+                        .as_fs()
+                        .checked_add(skew.as_fs())
+                        .is_some_and(|sum| sum < period.as_fs());
+                (!in_order).then_some(
+                    "clock shape must satisfy 0 < high, 0 <= skew and high + skew < period",
+                )
+            }
+        };
+        if let Some(rule) = broken {
+            return Err(rule.to_string());
+        }
+        // The stimulus transitions the suite drives, and a bound on the
+        // instant its last one starts.
+        let (transitions, last) = match *self {
+            StimulusSuite::RandomVectors {
+                vectors, period, ..
+            } => (
+                inputs.saturating_mul(vectors),
+                pattern_start(period, vectors),
+            ),
+            StimulusSuite::Exhaustive { period } => {
+                (inputs << inputs, pattern_start(period, 1 << inputs))
+            }
+            StimulusSuite::ToggleProbes { pulse, .. } => {
+                (2, Time::from_ns(PROBE_AT_NS).checked_add(pulse))
+            }
+            StimulusSuite::Clocked { cycles, period, .. } => (
+                cycles.saturating_mul(inputs + 1),
+                pattern_start(period, cycles),
+            ),
+        };
+        if transitions > max_events {
+            return Err(format!(
+                "the suite drives {transitions} stimulus transitions, over the run's \
+                 {max_events}-event budget"
+            ));
+        }
+        if last.is_none() {
+            return Err(
+                "the suite's last transition time overflows the femtosecond clock".to_string(),
+            );
+        }
+        Ok(())
+    }
+
     /// The suite's named stimuli for `netlist` as generators, using the
     /// library's default input slew: one per stimulus, each driving the
     /// circuit's primary inputs by position and storing no transition.
     ///
     /// # Panics
     ///
-    /// Panics when an [`Exhaustive`](StimulusSuite::Exhaustive) suite is
-    /// applied to a circuit with more than [`MAX_EXHAUSTIVE_INPUTS`] primary
-    /// inputs, any suite to a circuit with no primary inputs or more than
-    /// 64, or when a suite's parameters would put an input's transitions
-    /// out of order: a negative period or pulse, or a clock shape without
-    /// `0 < high`, `0 <= skew` and `high + skew < period`.
+    /// Panics when the suite breaks a rule of
+    /// [`check`](StimulusSuite::check) on `netlist`, with no event budget.
     pub fn sources(&self, netlist: &Netlist, library: &Library) -> Vec<(String, SuiteStimulus)> {
         let inputs = netlist.primary_inputs().len();
-        assert!(
-            inputs > 0,
-            "corpus suites need at least one primary input, {} has none",
-            netlist.name()
-        );
-        assert!(
-            inputs <= 64,
-            "corpus suites drive at most 64 inputs, {} has {}",
-            netlist.name(),
-            inputs
-        );
-        let mask = u64::MAX >> (64 - inputs);
+        if let Err(message) = self.check(inputs, usize::MAX) {
+            panic!("{}: {message}", netlist.name());
+        }
         let stimulus = |base: u64, probe: usize| SuiteStimulus {
             suite: self.clone(),
             inputs,
@@ -148,49 +222,15 @@ impl StimulusSuite {
             slew: library.default_input_slew(),
         };
         match *self {
-            StimulusSuite::RandomVectors { period, .. } => {
-                assert!(
-                    period >= TimeDelta::ZERO,
-                    "suite periods must not be negative"
-                );
-                vec![(self.label(), stimulus(0, 0))]
-            }
-            StimulusSuite::Exhaustive { period } => {
-                assert!(
-                    inputs <= MAX_EXHAUSTIVE_INPUTS,
-                    "exhaustive sweep limited to {MAX_EXHAUSTIVE_INPUTS} inputs, {} has {}",
-                    netlist.name(),
-                    inputs
-                );
-                assert!(
-                    period >= TimeDelta::ZERO,
-                    "suite periods must not be negative"
-                );
-                vec![(self.label(), stimulus(0, 0))]
-            }
             StimulusSuite::ToggleProbes {
-                seed,
-                max_probes,
-                pulse,
+                seed, max_probes, ..
             } => {
-                assert!(
-                    pulse >= TimeDelta::ZERO,
-                    "probe pulses must not be negative"
-                );
-                let base = StdRng::seed_from_u64(seed).gen::<u64>() & mask;
+                let base = StdRng::seed_from_u64(seed).gen::<u64>() & (u64::MAX >> (64 - inputs));
                 (0..inputs.min(max_probes))
                     .map(|probe| (format!("probe{probe}"), stimulus(base, probe)))
                     .collect()
             }
-            StimulusSuite::Clocked {
-                period, high, skew, ..
-            } => {
-                assert!(
-                    TimeDelta::ZERO < high && TimeDelta::ZERO <= skew && high + skew < period,
-                    "clock shape must satisfy 0 < high, 0 <= skew and high + skew < period"
-                );
-                vec![(self.label(), stimulus(0, 0))]
-            }
+            _ => vec![(self.label(), stimulus(0, 0))],
         }
     }
 
@@ -601,6 +641,63 @@ mod tests {
             seed: 1,
         }
         .stimuli(&netlist, &library);
+    }
+
+    #[test]
+    fn check_names_the_broken_rule() {
+        let random = |vectors, period| StimulusSuite::RandomVectors {
+            vectors,
+            period,
+            seed: 1,
+        };
+        let toggle = |pulse| StimulusSuite::ToggleProbes {
+            seed: 1,
+            max_probes: 1,
+            pulse,
+        };
+        let clocked = |high, skew| StimulusSuite::Clocked {
+            cycles: 4,
+            period: TimeDelta::from_ns(2.0),
+            high,
+            skew,
+            seed: 1,
+        };
+        let ns = TimeDelta::from_ns;
+        let cases = [
+            (random(4, ns(1.0)), 0, "1–64 primary inputs"),
+            (random(4, ns(1.0)), 65, "1–64 primary inputs"),
+            (
+                StimulusSuite::Exhaustive { period: ns(1.0) },
+                13,
+                "exhaustive sweep limited",
+            ),
+            (
+                random(4, TimeDelta::from_fs(-1)),
+                5,
+                "periods must not be negative",
+            ),
+            (
+                toggle(TimeDelta::from_fs(-1)),
+                5,
+                "pulses must not be negative",
+            ),
+            (clocked(TimeDelta::ZERO, ns(0.5)), 5, "clock shape"),
+            (clocked(ns(1.0), TimeDelta::from_fs(-1)), 5, "clock shape"),
+            (clocked(TimeDelta::MAX, TimeDelta::MAX), 5, "clock shape"),
+            (random(1 << 52, TimeDelta::from_fs(1)), 5, "event budget"),
+            (
+                random(2000, TimeDelta::from_fs((1 << 53) - 1)),
+                5,
+                "overflows",
+            ),
+            (toggle(TimeDelta::MAX), 5, "overflows"),
+        ];
+        for (suite, inputs, rule) in cases {
+            let message = suite.check(inputs, 10_000_000).unwrap_err();
+            assert!(message.contains(rule), "{suite:?}: {message}");
+        }
+        assert_eq!(random(4, ns(1.0)).check(5, 20), Ok(()));
+        assert!(random(4, ns(1.0)).check(5, 19).is_err());
     }
 
     #[test]

@@ -243,11 +243,6 @@ impl DelayModelHandle {
         DelayModelHandle(Arc::new(model))
     }
 
-    /// Wraps an already shared model.
-    pub fn from_arc(model: Arc<dyn DelayModel>) -> Self {
-        DelayModelHandle(model)
-    }
-
     /// The model's report label.
     pub fn label(&self) -> &str {
         self.0.label()

@@ -14,8 +14,8 @@
 //! * two interchange formats — the in-house `.net` text form ([`parser`] /
 //!   [`writer`]) and a structural-Verilog subset ([`verilog`]) — both
 //!   round-trip **identities** (see `FORMATS.md` at the repository root),
-//! * [`graph`] — a petgraph-style adjacency view (node/edge iterators and a
-//!   CSR export) for graph algorithms over the circuit,
+//! * [`levelize`] — the topological levelization the compiled simulator
+//!   keeps current across edits, and its static-timing pass walks,
 //! * [`edit`] — an ECO-style mutation session whose edit log names the
 //!   stale gates and nets, so compiled tables can be patched incrementally,
 //! * [`generators`] — the circuits used by the paper's experiments
@@ -29,7 +29,6 @@ pub mod cell;
 pub mod edit;
 pub mod eval;
 pub mod generators;
-pub mod graph;
 pub mod iscas;
 pub mod levelize;
 pub mod library;

@@ -39,7 +39,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use halotis_corpus::stimuli::pattern_start;
 use halotis_corpus::{ModelColumn, ScenarioObserver, StimulusSuite};
 use halotis_sim::{SimulationConfig, WorkerArena};
 
@@ -665,8 +664,10 @@ fn submit_simulate(
         return;
     };
 
-    // The suite generators assert their input-count contracts; violating
-    // them from the wire must be a structured error, not a worker panic.
+    // The suite generators panic on a suite `StimulusSuite::check`
+    // refuses; from the wire that is a structured error, checked before the
+    // job is queued.  The event budget bounds the work one frame can ask
+    // for: set-up alone walks every stimulus transition.
     let config = model.config();
     if let Some(error) = validate_suite(&entry, &suite, config.max_events) {
         conn.send(&error_frame(shared, Some(id), &error));
@@ -725,68 +726,11 @@ fn validate_suite(
     suite: &StimulusSuite,
     max_events: usize,
 ) -> Option<ProtocolError> {
-    let state = entry.read_state();
-    let inputs = state.active().netlist().primary_inputs().len();
-    if inputs == 0 || inputs > 64 {
-        return Some(ProtocolError::new(
-            ErrorCode::BadRequest,
-            format!("stimulus suites need 1–64 primary inputs, circuit has {inputs}"),
-        ));
-    }
-    if matches!(suite, StimulusSuite::Exhaustive { .. })
-        && inputs > halotis_corpus::stimuli::MAX_EXHAUSTIVE_INPUTS
-    {
-        return Some(ProtocolError::new(
-            ErrorCode::BadRequest,
-            format!(
-                "exhaustive sweeps are limited to {} inputs, circuit has {inputs}",
-                halotis_corpus::stimuli::MAX_EXHAUSTIVE_INPUTS
-            ),
-        ));
-    }
-    if let StimulusSuite::Clocked {
-        period, high, skew, ..
-    } = suite
-    {
-        if *high + *skew >= *period {
-            return Some(ProtocolError::new(
-                ErrorCode::BadRequest,
-                "clocked suites need high_fs + skew_fs < period_fs",
-            ));
-        }
-    }
-    // A suite long enough to blow the run's event budget or to overflow
-    // the femtosecond clock is refused before it runs: its set-up alone
-    // would walk every transition, and wrapped times would give wrong
-    // answers.  Patterns start at 1 ns, one every `period`, so the start of
-    // pattern `count` bounds the last stimulus transition; the suite's
-    // generator computes its pattern times with the same function.
-    let (transitions, period, count) = match *suite {
-        StimulusSuite::RandomVectors {
-            vectors, period, ..
-        } => (inputs.saturating_mul(vectors), period, vectors),
-        StimulusSuite::Exhaustive { period } => (inputs << inputs, period, 1 << inputs),
-        StimulusSuite::Clocked { cycles, period, .. } => {
-            (cycles.saturating_mul(inputs + 1), period, cycles)
-        }
-        StimulusSuite::ToggleProbes { .. } => return None,
-    };
-    if transitions > max_events {
-        return Some(ProtocolError::new(
-            ErrorCode::BadRequest,
-            format!(
-                "the suite drives {transitions} stimulus transitions, over the run's \
-                 {max_events}-event budget"
-            ),
-        ));
-    }
-    if pattern_start(period, count).is_none() {
-        return Some(ProtocolError::new(
-            ErrorCode::BadRequest,
-            "the suite's last transition time overflows the femtosecond clock",
-        ));
-    }
-    None
+    let inputs = entry.read_state().active().netlist().primary_inputs().len();
+    suite
+        .check(inputs, max_events)
+        .err()
+        .map(|message| ProtocolError::new(ErrorCode::BadRequest, message))
 }
 
 fn run_simulate(

@@ -36,7 +36,10 @@
 //! timing arcs) are indexed by the dense pin index of
 //! [`PinMap`], and the fanout adjacency of every net is
 //! flattened into one `Vec` with a per-net offset array, so the hot loop of
-//! the engine only chases one level of indirection.
+//! the engine only chases one level of indirection.  The circuit also keeps
+//! its netlist's levelization, patched in place by edits: run
+//! initialisation evaluates in that order, and the static-timing pass
+//! ([`sta`](crate::sta)) walks it to bound every net's arrival.
 //!
 //! # Example: one compile, many runs
 //!
@@ -150,7 +153,8 @@ pub struct CompiledCircuit<'a> {
     pins: PinMap,
     /// The levelization of the netlist, kept current across edits by
     /// [`Levelization::update`] — run initialisation evaluates with this
-    /// order instead of re-levelizing per run.
+    /// order instead of re-levelizing per run, and
+    /// [`sta::analyze`](crate::sta::analyze) walks it.
     levels: Levelization,
     /// Threshold voltage per dense pin index.
     pin_thresholds: Vec<Voltage>,
@@ -383,28 +387,6 @@ impl<'a> CompiledCircuit<'a> {
     /// capacitance).
     pub fn gate_load(&self, gate: GateId) -> Capacitance {
         self.gate_loads[gate.index()]
-    }
-
-    /// Exports the engine's fanout tables as a
-    /// [`CsrGraph`](halotis_netlist::graph::CsrGraph) — the same adjacency
-    /// [`NetlistGraph::to_csr`](halotis_netlist::graph::NetlistGraph::to_csr)
-    /// builds by walking the netlist, but read straight out of the compiled
-    /// CSR windows, so it reflects the circuit's current (possibly edited)
-    /// state.  Graph passes like [`sta`](crate::sta) run on this export.
-    pub fn fanout_csr(&self) -> halotis_netlist::graph::CsrGraph {
-        let edges = (0..self.netlist.net_count()).flat_map(|net_index| {
-            let start = self.fanout_start[net_index] as usize;
-            let len = self.fanout_len[net_index] as usize;
-            self.fanout_pins[start..start + len]
-                .iter()
-                .map(move |&pin| halotis_netlist::graph::GraphEdge {
-                    source: NetId::from_usize(net_index),
-                    target: self.gate_outputs[pin.gate().index()],
-                    gate: pin.gate(),
-                    pin: pin.input(),
-                })
-        });
-        halotis_netlist::graph::CsrGraph::from_edges(self.netlist.net_count(), edges)
     }
 
     /// Allocates a fresh state arena sized for this circuit.

@@ -28,11 +28,6 @@
 use halotis_netlist::{Library, Netlist};
 use halotis_waveform::Stimulus;
 
-// The helper lived here historically; it is netlist vocabulary and moved to
-// `halotis_netlist`.  Re-exported so `halotis_sim::engine::is_primary_input_net`
-// keeps resolving.
-pub use halotis_netlist::is_primary_input_net;
-
 use crate::compiled::CompiledCircuit;
 use crate::config::SimulationConfig;
 use crate::error::SimulationError;
@@ -286,13 +281,5 @@ mod tests {
             .unwrap();
         assert_eq!(result.model_kind(), Some(DelayModelKind::Conventional));
         assert_eq!(result.model_label(), "CDM");
-        assert!(is_primary_input_net(
-            &netlist,
-            netlist.net_id("in").unwrap()
-        ));
-        assert!(!is_primary_input_net(
-            &netlist,
-            netlist.net_id("out").unwrap()
-        ));
     }
 }

@@ -82,7 +82,10 @@ pub trait SimObserver {
 
     /// A transition (linear ramp) was emitted on `net` — gate outputs *and*
     /// stimulus edges on primary inputs, exactly what waveform recording
-    /// used to capture.
+    /// used to capture.  Each net's transitions arrive with non-decreasing
+    /// starts: a gate's output ramp never starts before its previous one
+    /// (see [`ramp_start`](crate::ramp::ramp_start)), and a stimulus
+    /// input's transitions come in order.
     fn on_transition(&mut self, net: NetId, transition: &Transition) {
         let _ = (net, transition);
     }

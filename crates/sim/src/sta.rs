@@ -1,12 +1,12 @@
-//! Static timing analysis over the compiled circuit graph.
+//! Static timing analysis over the compiled circuit.
 //!
-//! [`analyze`] runs a topological longest-path pass on the
-//! [`CsrGraph`](halotis_netlist::graph::CsrGraph) exported by
-//! [`CompiledCircuit::fanout_csr`], using the same library timing arcs the
-//! event-driven engine evaluates — no separate characterisation, no
-//! duplicated delay math.  The result is a per-net **upper bound** on when
-//! activity on that net can end, measured from the end of the primary-input
-//! stimulus ramp that triggered it.
+//! [`analyze`] runs a longest-path pass over the compiled circuit's own
+//! levelization ([`CompiledCircuit::levels`], which edits keep current),
+//! using the same library timing arcs the event-driven engine evaluates —
+//! no separate characterisation, no duplicated delay math.  The result is
+//! a per-net **upper bound** on when activity on that net can end,
+//! measured from the end of the primary-input stimulus ramp that
+//! triggered it.
 //!
 //! The bound is conservative by construction, arc by arc:
 //!
@@ -62,12 +62,26 @@
 //! # Ok::<(), halotis_sim::SimulationError>(())
 //! ```
 
-use halotis_core::{Edge, NetId, PinRef, Time, TimeDelta};
+use halotis_core::{Edge, GateId, NetId, PinRef, Time, TimeDelta};
 use halotis_delay::nominal;
-use halotis_netlist::graph::GraphEdge;
 use halotis_waveform::Stimulus;
 
 use crate::compiled::CompiledCircuit;
+
+/// One arc of a critical path: gate input pin `pin` of `gate`, viewed as
+/// the step from the net feeding the pin (`source`) to the net the gate
+/// drives (`target`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathArc {
+    /// The net feeding the gate input pin.
+    pub source: NetId,
+    /// The net driven by the gate's output.
+    pub target: NetId,
+    /// The gate the pin belongs to.
+    pub gate: GateId,
+    /// Zero-based input position on the gate.
+    pub pin: u32,
+}
 
 /// The result of a static-timing pass: per-net arrival/slew bounds and the
 /// critical path that set the worst one.  Produced by [`analyze`].
@@ -79,9 +93,9 @@ pub struct StaReport {
     /// Upper bound on the output-ramp duration per net (exact per arc: the
     /// conventional model's output slew is load-only).
     slew: Vec<TimeDelta>,
-    /// The graph edge that set each net's arrival bound (`None` for primary
-    /// inputs).
-    predecessor: Vec<Option<GraphEdge>>,
+    /// The arc that set each net's arrival bound (`None` for timing
+    /// sources).
+    predecessor: Vec<Option<PathArc>>,
     /// The net with the largest arrival bound.
     worst: NetId,
 }
@@ -108,14 +122,14 @@ impl StaReport {
         self.arrival[self.worst.index()]
     }
 
-    /// The critical path as graph edges from a primary input to
+    /// The critical path as arcs from a timing source to
     /// [`worst_net`](Self::worst_net), in propagation order.
-    pub fn critical_path(&self) -> Vec<GraphEdge> {
+    pub fn critical_path(&self) -> Vec<PathArc> {
         let mut path = Vec::new();
         let mut net = self.worst;
-        while let Some(edge) = self.predecessor[net.index()] {
-            path.push(edge);
-            net = edge.source;
+        while let Some(arc) = self.predecessor[net.index()] {
+            path.push(arc);
+            net = arc.source;
         }
         path.reverse();
         path
@@ -137,16 +151,16 @@ impl StaReport {
     }
 }
 
-/// The worst-case arrival/slew increment of one graph edge: how much later
-/// than its input-net bound activity on the target net can end, and how
-/// long the resulting output ramp can be.
-fn edge_increment(
+/// The worst-case arrival/slew increment of one gate input pin: how much
+/// later than its input-net bound activity on the gate's output can end,
+/// and how long the resulting output ramp can be.
+fn pin_increment(
     circuit: &CompiledCircuit<'_>,
-    edge: GraphEdge,
+    pin: PinRef,
     input_slew_bound: TimeDelta,
 ) -> (TimeDelta, TimeDelta) {
-    let load = circuit.gate_load(edge.gate);
-    let timing = circuit.pin_timing(PinRef::new(edge.gate, edge.pin));
+    let load = circuit.gate_load(pin.gate());
+    let timing = circuit.pin_timing(pin);
     let mut worst_increment = TimeDelta::ZERO;
     let mut worst_slew = TimeDelta::ZERO;
     for direction in [Edge::Rise, Edge::Fall] {
@@ -177,88 +191,63 @@ fn edge_increment(
 /// stimulus will carry — pass the stimulus's slew (usually
 /// `library.default_input_slew()`); a larger value only loosens the bound.
 ///
-/// The pass is a Kahn propagation over [`CompiledCircuit::fanout_csr`]:
-/// primary-input nets start at zero, every gate finalises its output once
-/// all input nets are bounded, and each edge's increment is the worst of
-/// its rise/fall arcs (see the module docs for why this bounds the
-/// event-driven engine).  Runs in O(nets + pins).
+/// Primary inputs and register outputs are the timing sources.  The pass
+/// then visits the combinational gates in the circuit's topological order
+/// ([`CompiledCircuit::levels`]), so every input net is final when its
+/// gate is visited, and bounds each output by its worst input pin: the
+/// pin's net bound plus the worst of the pin's rise/fall arcs (see the
+/// module docs for why this bounds the event-driven engine).  Runs in
+/// O(nets + pins).
 pub fn analyze(circuit: &CompiledCircuit<'_>, input_slew: TimeDelta) -> StaReport {
     let netlist = circuit.netlist();
-    let csr = circuit.fanout_csr();
     let net_count = netlist.net_count();
 
     let mut arrival = vec![TimeDelta::ZERO; net_count];
     let mut slew = vec![TimeDelta::ZERO; net_count];
-    let mut predecessor: Vec<Option<GraphEdge>> = vec![None; net_count];
+    let mut predecessor: Vec<Option<PathArc>> = vec![None; net_count];
 
-    // A combinational gate finalises its output net once every input net is
-    // bounded.  Sequential gates never finalise through their inputs:
-    // their outputs are level sources (clock-to-Q launches a fresh ramp
-    // each cycle), which is what makes register feedback analysable — the
-    // pass bounds each register-bounded combinational segment.
-    let mut pending_inputs: Vec<u32> = netlist
-        .gates()
-        .iter()
-        .map(|gate| gate.inputs().len() as u32)
-        .collect();
-
-    let mut worklist: Vec<NetId> = netlist.primary_inputs().to_vec();
     for &input in netlist.primary_inputs() {
         slew[input.index()] = input_slew;
     }
-    for (index, gate) in netlist.gates().iter().enumerate() {
-        if !gate.kind().is_sequential() {
-            continue;
+    // A register's output is a level source (clock-to-Q launches a fresh
+    // ramp each cycle), which is what makes register feedback analysable:
+    // the pass bounds each register-bounded combinational segment.  Its
+    // ramp duration is bounded by the worst arc over its pins (clock,
+    // data, reset all launch at most one Q ramp).
+    for gate in netlist.gates() {
+        if gate.kind().is_sequential() {
+            slew[gate.output().index()] = (0..gate.inputs().len() as u32)
+                .map(|pin| pin_increment(circuit, PinRef::new(gate.id(), pin), input_slew).1)
+                .max()
+                .unwrap_or(TimeDelta::ZERO);
         }
-        // The register's output ramp duration is bounded by the worst arc
-        // over its pins (clock, data, reset all launch at most one Q ramp).
-        let gate_id = halotis_core::GateId::from_usize(index);
-        let load = circuit.gate_load(gate_id);
-        let mut tau_bound = TimeDelta::ZERO;
-        for pin in 0..gate.inputs().len() {
-            let timing = circuit.pin_timing(PinRef::new(gate_id, pin as u32));
-            for direction in [Edge::Rise, Edge::Fall] {
-                let arc = timing.for_edge(direction);
-                let at_zero = nominal::timing(arc, load, TimeDelta::ZERO);
-                let at_bound = nominal::timing(arc, load, input_slew);
-                tau_bound = tau_bound.max(at_zero.output_slew.max(at_bound.output_slew));
-            }
-        }
-        slew[gate.output().index()] = tau_bound;
-        worklist.push(gate.output());
     }
 
-    let mut finalized = worklist.len();
-    while let Some(net) = worklist.pop() {
-        let net_arrival = arrival[net.index()];
-        let net_slew = slew[net.index()];
-        for &edge in csr.outgoing(net) {
-            let gate = edge.gate.index();
-            if netlist.gates()[gate].kind().is_sequential() {
-                // Arrival at a register's D/EN/CK pin does not propagate to
-                // Q within the cycle; the segment ends here.
-                continue;
+    for gate_id in circuit.levels().topological_order() {
+        let gate = netlist.gate(gate_id);
+        if gate.kind().is_sequential() {
+            // Arrival at a register's D/EN/CK pin does not propagate to Q
+            // within the cycle; the segment ends here.
+            continue;
+        }
+        let target = gate.output();
+        for (pin, &source) in (0u32..).zip(gate.inputs()) {
+            let (increment, tau) =
+                pin_increment(circuit, PinRef::new(gate_id, pin), slew[source.index()]);
+            let candidate = arrival[source.index()] + increment;
+            let out = target.index();
+            if candidate > arrival[out] || predecessor[out].is_none() {
+                arrival[out] = candidate;
+                predecessor[out] = Some(PathArc {
+                    source,
+                    target,
+                    gate: gate_id,
+                    pin,
+                });
             }
-            let (increment, tau) = edge_increment(circuit, edge, net_slew);
-            let candidate = net_arrival + increment;
-            let target = edge.target.index();
-            if candidate > arrival[target] || predecessor[target].is_none() {
-                arrival[target] = candidate;
-                predecessor[target] = Some(edge);
-            }
-            slew[target] = slew[target].max(tau);
-            pending_inputs[gate] -= 1;
-            if pending_inputs[gate] == 0 {
-                worklist.push(netlist.gates()[gate].output());
-                finalized += 1;
-            }
+            slew[out] = slew[out].max(tau);
         }
     }
-    debug_assert_eq!(
-        finalized, net_count,
-        "compilation rejects combinational loops, so every register-bounded \
-         segment is acyclic"
-    );
 
     let worst = (0..net_count)
         .map(NetId::from_usize)

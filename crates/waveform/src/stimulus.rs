@@ -105,11 +105,6 @@ impl Stimulus {
         self.inputs.get(input)
     }
 
-    /// All driven inputs as a trace, in declaration order.
-    pub fn as_trace(&self) -> &Trace<DigitalWaveform> {
-        &self.inputs
-    }
-
     /// Names of all driven inputs.
     pub fn input_names(&self) -> impl Iterator<Item = &str> {
         self.inputs.names()

@@ -32,105 +32,6 @@ fn level_char(level: LogicLevel) -> char {
     level.as_char()
 }
 
-/// Incremental VCD emission: header once, then time-ordered value changes.
-///
-/// [`write()`] needs the whole trace up front; a writer that streams
-/// results instead declares the signal set once and pushes
-/// `(time, signal, level)` changes as they become final.  Changes must arrive in non-decreasing time order — the VCD format
-/// has no way to rewind a timestamp ([`change`](StreamWriter::change)
-/// enforces it).
-///
-/// # Example
-///
-/// ```
-/// use halotis_core::{LogicLevel, Time};
-/// use halotis_waveform::vcd::StreamWriter;
-///
-/// let mut out = Vec::new();
-/// let mut vcd = StreamWriter::new(&mut out, "top", &[("a", LogicLevel::Low)])?;
-/// vcd.change(Time::from_ns(1.0), 0, LogicLevel::High)?;
-/// vcd.change(Time::from_ns(2.0), 0, LogicLevel::Low)?;
-/// drop(vcd);
-/// let text = String::from_utf8(out).unwrap();
-/// assert!(text.contains("$var wire 1 ! a $end"));
-/// assert!(text.contains("#1000000"));
-/// # Ok::<(), std::io::Error>(())
-/// ```
-#[derive(Debug)]
-pub struct StreamWriter<W: Write> {
-    out: W,
-    ids: Vec<String>,
-    current_time: Option<Time>,
-}
-
-impl<W: Write> StreamWriter<W> {
-    /// Writes the VCD header for `signals` (name, initial level) under the
-    /// module name `scope` and returns the writer ready for changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error of the underlying writer.
-    pub fn new(mut out: W, scope: &str, signals: &[(&str, LogicLevel)]) -> io::Result<Self> {
-        writeln!(out, "$date HALOTIS simulation $end")?;
-        writeln!(out, "$version halotis-waveform $end")?;
-        writeln!(out, "$timescale {TIMESCALE} $end")?;
-        writeln!(out, "$scope module {scope} $end")?;
-        let ids: Vec<String> = (0..signals.len()).map(identifier).collect();
-        for (index, (name, _)) in signals.iter().enumerate() {
-            writeln!(out, "$var wire 1 {} {} $end", ids[index], name)?;
-        }
-        writeln!(out, "$upscope $end")?;
-        writeln!(out, "$enddefinitions $end")?;
-
-        writeln!(out, "#0")?;
-        writeln!(out, "$dumpvars")?;
-        for (index, (_, initial)) in signals.iter().enumerate() {
-            writeln!(out, "{}{}", level_char(*initial), ids[index])?;
-        }
-        writeln!(out, "$end")?;
-        Ok(StreamWriter {
-            out,
-            ids,
-            current_time: None,
-        })
-    }
-
-    /// Number of declared signals.
-    pub fn signal_count(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Records one value change of signal `signal` (its index in the
-    /// `signals` slice passed to [`new`](StreamWriter::new)) at `time`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors of the underlying writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `signal` is out of range or `time` precedes an already
-    /// emitted timestamp (VCD documents are strictly forward in time).
-    pub fn change(&mut self, time: Time, signal: usize, level: LogicLevel) -> io::Result<()> {
-        if self.current_time != Some(time) {
-            assert!(
-                self.current_time.is_none_or(|current| time > current),
-                "VCD timestamps must be non-decreasing: {time} after {}",
-                self.current_time.expect("checked: current time exists"),
-            );
-            writeln!(self.out, "#{}", time.as_fs().max(0))?;
-            self.current_time = Some(time);
-        }
-        writeln!(self.out, "{}{}", level_char(level), self.ids[signal])?;
-        Ok(())
-    }
-
-    /// Consumes the writer, returning the underlying output.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
 /// Writes a VCD document for `trace` under the module name `scope`.
 ///
 /// # Errors
@@ -154,12 +55,24 @@ impl<W: Write> StreamWriter<W> {
 /// assert!(text.contains("$var wire 1"));
 /// # Ok::<(), std::io::Error>(())
 /// ```
-pub fn write<W: Write>(out: W, scope: &str, trace: &Trace<IdealWaveform>) -> io::Result<()> {
-    let signals: Vec<(&str, LogicLevel)> = trace
-        .iter()
-        .map(|(name, waveform)| (name, waveform.initial()))
-        .collect();
-    let mut writer = StreamWriter::new(out, scope, &signals)?;
+pub fn write<W: Write>(mut out: W, scope: &str, trace: &Trace<IdealWaveform>) -> io::Result<()> {
+    writeln!(out, "$date HALOTIS simulation $end")?;
+    writeln!(out, "$version halotis-waveform $end")?;
+    writeln!(out, "$timescale {TIMESCALE} $end")?;
+    writeln!(out, "$scope module {scope} $end")?;
+    let ids: Vec<String> = (0..trace.len()).map(identifier).collect();
+    for ((name, _), id) in trace.iter().zip(&ids) {
+        writeln!(out, "$var wire 1 {id} {name} $end")?;
+    }
+    writeln!(out, "$upscope $end")?;
+    writeln!(out, "$enddefinitions $end")?;
+
+    writeln!(out, "#0")?;
+    writeln!(out, "$dumpvars")?;
+    for ((_, waveform), id) in trace.iter().zip(&ids) {
+        writeln!(out, "{}{id}", level_char(waveform.initial()))?;
+    }
+    writeln!(out, "$end")?;
 
     // Merge all change points in time order.
     let mut events: Vec<(Time, usize, LogicLevel)> = Vec::new();
@@ -170,8 +83,13 @@ pub fn write<W: Write>(out: W, scope: &str, trace: &Trace<IdealWaveform>) -> io:
     }
     events.sort_by_key(|&(t, index, _)| (t, index));
 
+    let mut current_time = None;
     for (t, index, level) in events {
-        writer.change(t, index, level)?;
+        if current_time != Some(t) {
+            writeln!(out, "#{}", t.as_fs().max(0))?;
+            current_time = Some(t);
+        }
+        writeln!(out, "{}{}", level_char(level), ids[index])?;
     }
     Ok(())
 }

@@ -15,7 +15,8 @@
 use halotis::core::{LogicLevel, NetId, Time, TimeDelta};
 use halotis::netlist::{generators, technology, CellKind, Library, Netlist};
 use halotis::sim::{
-    BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationError, SimulationResult,
+    sta, BatchRunner, CompiledCircuit, Scenario, SimulationConfig, SimulationError,
+    SimulationResult,
 };
 use halotis::waveform::Stimulus;
 use proptest::prelude::*;
@@ -195,6 +196,18 @@ fn check_incremental_matches_fresh(
         fresh.netlist(),
         "{context}: netlist clone mismatch"
     );
+    // Static timing walks the patched levelization and pin tables, so it
+    // must bound every net exactly as on the fresh compile.
+    let slew = library.default_input_slew();
+    let (patched_sta, fresh_sta) = (sta::analyze(&circuit, slew), sta::analyze(&fresh, slew));
+    for net in mutated.nets() {
+        assert_eq!(
+            (patched_sta.arrival(net.id()), patched_sta.slew(net.id())),
+            (fresh_sta.arrival(net.id()), fresh_sta.slew(net.id())),
+            "{context}: STA bounds of net {} diverge",
+            net.name()
+        );
+    }
 
     let stimulus = random_stimulus(&mutated, &library, polarity, spread_ps);
     let mut fresh_state = fresh.new_state();

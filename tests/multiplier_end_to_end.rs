@@ -4,7 +4,8 @@
 use halotis::analog::{AnalogConfig, AnalogSimulator};
 use halotis::core::{LogicLevel, Time, TimeDelta};
 use halotis::experiments::{
-    multiplier_fixture, multiplier_stimulus, MultiplierFixture, SEQUENCE_FIG6, SEQUENCE_FIG7,
+    figures67, multiplier_fixture, multiplier_stimulus, pulse_width, sequence_label, table1,
+    MultiplierFixture, SEQUENCE_FIG6, SEQUENCE_FIG7,
 };
 use halotis::netlist::eval;
 use halotis::sim::{classical, SimulationConfig, Simulator};
@@ -98,18 +99,50 @@ fn all_engines_settle_to_the_functional_product() {
     );
 }
 
+/// The paper's numbers for one sequence, as `reproduce` prints them.
+struct PaperNumbers {
+    pairs: &'static [(u64, u64)],
+    /// Table 1: scheduled events of DDM and CDM, then filtered events of
+    /// DDM and CDM.
+    events: [usize; 4],
+    /// Figs. 6 and 7: output edges of the electrical reference, DDM and
+    /// CDM.
+    edges: [usize; 3],
+}
+
+const PAPER_NUMBERS: [PaperNumbers; 2] = [
+    PaperNumbers {
+        pairs: SEQUENCE_FIG6,
+        events: [426, 585, 30, 19],
+        edges: [34, 38, 74],
+    },
+    PaperNumbers {
+        pairs: SEQUENCE_FIG7,
+        events: [752, 924, 64, 36],
+        edges: [56, 68, 112],
+    },
+];
+
 #[test]
 fn cdm_overestimates_activity_on_both_paper_sequences() {
     let fixture = multiplier_fixture();
     let simulator = Simulator::new(&fixture.netlist, &fixture.library);
-    for pairs in [SEQUENCE_FIG6, SEQUENCE_FIG7] {
-        let stimulus = multiplier_stimulus(&fixture.ports, pairs);
+    for numbers in PAPER_NUMBERS {
+        let stimulus = multiplier_stimulus(&fixture.ports, numbers.pairs);
         let (ddm, cdm) = simulator
             .run_both_models(&stimulus, &SimulationConfig::default())
             .unwrap();
-        assert!(ddm.stats().events_scheduled < cdm.stats().events_scheduled);
-        assert!(ddm.stats().events_filtered > 0);
-        assert!(ddm.output_edge_count() <= cdm.output_edge_count());
+        let counted = [
+            ddm.stats().events_scheduled,
+            cdm.stats().events_scheduled,
+            ddm.stats().events_filtered,
+            cdm.stats().events_filtered,
+        ];
+        assert_eq!(counted, numbers.events);
+        assert_eq!(
+            [ddm.output_edge_count(), cdm.output_edge_count()],
+            [numbers.edges[1], numbers.edges[2]]
+        );
         // Final values are identical: the delay model changes timing, not
         // function.
         for name in &fixture.ports.s {
@@ -166,4 +199,77 @@ fn simulation_is_deterministic() {
             second.ideal_waveform(name).unwrap().changes()
         );
     }
+}
+
+/// What `reproduce table1 fig6 fig7 pulsewidth` prints, CPU times aside:
+/// a change that moves one of the paper's numbers fails here.
+#[test]
+fn the_reproduction_prints_the_pinned_numbers() {
+    let rows = table1::table1();
+    assert_eq!(rows.len(), PAPER_NUMBERS.len());
+    for (row, numbers) in rows.iter().zip(PAPER_NUMBERS) {
+        assert_eq!(row.sequence, sequence_label(numbers.pairs));
+        let counted = [
+            row.ddm.events_scheduled,
+            row.cdm.events_scheduled,
+            row.ddm.events_filtered,
+            row.cdm.events_filtered,
+        ];
+        assert_eq!(counted, numbers.events, "{}", row.sequence);
+    }
+
+    for (figure, numbers) in [figures67::figure6(), figures67::figure7()]
+        .iter()
+        .zip(PAPER_NUMBERS)
+    {
+        let (ddm, cdm) = (figure.ddm_vs_analog(), figure.cdm_vs_analog());
+        assert_eq!(ddm.reference_edges, cdm.reference_edges);
+        assert_eq!(
+            [ddm.reference_edges, ddm.test_edges, cdm.test_edges],
+            numbers.edges,
+            "{}",
+            figure.label
+        );
+    }
+
+    // Output pulse width per input width (ps, rounded as printed; `None`
+    // is a filtered pulse): analog reference, DDM, CDM.
+    type SweepRow = (i64, Option<i64>, Option<i64>, Option<i64>);
+    const SWEEP: [SweepRow; 20] = [
+        (100, None, None, Some(109)),
+        (200, None, None, Some(209)),
+        (300, None, None, Some(309)),
+        (400, None, None, Some(409)),
+        (500, None, Some(284), Some(509)),
+        (600, Some(342), Some(502), Some(609)),
+        (700, Some(540), Some(652), Some(709)),
+        (800, Some(690), Some(777), Some(809)),
+        (900, Some(826), Some(891), Some(909)),
+        (1000, Some(943), Some(999), Some(1009)),
+        (1100, Some(1056), Some(1103), Some(1109)),
+        (1200, Some(1168), Some(1205), Some(1209)),
+        (1300, Some(1268), Some(1307), Some(1309)),
+        (1400, Some(1373), Some(1408), Some(1409)),
+        (1500, Some(1479), Some(1508), Some(1509)),
+        (1600, Some(1579), Some(1608), Some(1609)),
+        (1700, Some(1679), Some(1709), Some(1709)),
+        (1800, Some(1780), Some(1809), Some(1809)),
+        (1900, Some(1880), Some(1909), Some(1909)),
+        (2000, Some(1984), Some(2009), Some(2009)),
+    ];
+    let ps = |width: Option<TimeDelta>| width.map(|width| width.as_ps().round() as i64);
+    let sweep = pulse_width::default_sweep();
+    let printed: Vec<_> = sweep
+        .points
+        .iter()
+        .map(|point| {
+            (
+                point.input_width.as_ps().round() as i64,
+                ps(point.analog_output),
+                ps(point.ddm_output),
+                ps(point.cdm_output),
+            )
+        })
+        .collect();
+    assert_eq!(printed, SWEEP);
 }

@@ -1,11 +1,17 @@
-//! A long suite streams: running c17 under a 50k-vector random suite
-//! through the suite's generators must not grow the process's peak
-//! resident set by more than 4 MB.  Streaming grows it by about 0.2 MB;
-//! keeping the stimulus (its expanded waveforms, and every event staged
-//! up front) grew it by 15.9 MB on the same run.
+//! A long suite streams: running c17 under a long random suite through
+//! the suite's generators must not grow the process's peak resident set by
+//! more than 4 MB.
+//!
+//! * With the null observer, 50k vectors grow it by about 0.2 MB; keeping
+//!   the stimulus (its expanded waveforms, and every event staged up
+//!   front) grew it by 15.9 MB on the same run.
+//! * With the [`ScenarioObserver`] bundle every corpus and daemon run
+//!   uses, 200k vectors grow it by about 0.2 MB: the glitch profile folds
+//!   each change point once no later transition can revoke it.  Keeping
+//!   every change point for the whole run grew it by 18.2 MB.
 //!
 //! The peak (`VmHWM`) is per process and the test harness runs tests side
-//! by side, so the test re-runs itself in a child process that does the
+//! by side, so each test re-runs itself in a child process that does the
 //! measured run alone and reports its growth.
 
 #![cfg(target_os = "linux")]
@@ -13,11 +19,10 @@
 use std::process::Command;
 
 use halotis::core::TimeDelta;
-use halotis::corpus::{ModelColumn, StimulusSuite};
+use halotis::corpus::{ModelColumn, ScenarioObserver, StimulusSuite};
 use halotis::netlist::{generators, technology};
-use halotis::sim::CompiledCircuit;
+use halotis::sim::{CompiledCircuit, SimObserver};
 
-const TEST: &str = "a_long_random_suite_streams_in_bounded_memory";
 /// Set in the child process.
 const CHILD: &str = "HALOTIS_STIMULUS_MEMORY_CHILD";
 /// The bound on the peak growth, in kB.
@@ -33,15 +38,15 @@ fn peak_kb() -> u64 {
         .expect("/proc/self/status reports VmHWM")
 }
 
-/// The measured run: compiles c17 and runs it once under the suite's
-/// generator with the null observer; prints the peak growth in kB.
-fn measure() {
+/// The measured run: compiles c17 and runs it once under a `vectors`-long
+/// random suite's generator with `observer`; prints the peak growth in kB.
+fn measure(vectors: usize, observer: &mut impl SimObserver) {
     let netlist = generators::c17();
     let library = technology::cmos06();
     let circuit = CompiledCircuit::compile(&netlist, &library).expect("c17 compiles");
     let mut state = circuit.new_state();
     let suite = StimulusSuite::RandomVectors {
-        vectors: 50_000,
+        vectors,
         period: TimeDelta::from_ns(5.0),
         seed: 0x5EED,
     };
@@ -51,24 +56,25 @@ fn measure() {
         .expect("one stimulus");
     let before = peak_kb();
     let stats = circuit
-        .run_observed(&mut state, &source, &ModelColumn::Ddm.config(), &mut ())
+        .run_observed(&mut state, &source, &ModelColumn::Ddm.config(), observer)
         .expect("the suite runs within the event budget");
     let grown = peak_kb() - before;
-    assert!(stats.events_processed > 100_000, "{stats:?}");
+    assert!(stats.events_processed > 2 * vectors, "{stats:?}");
     println!(
         "peak growth {grown} kB, queue high water {}",
         stats.queue_high_water
     );
 }
 
-#[test]
-fn a_long_random_suite_streams_in_bounded_memory() {
+/// Runs `measure` in a child process that re-runs test `name` alone, and
+/// checks the growth it reports against the bound.
+fn measured_alone(name: &str, measure: impl FnOnce()) {
     if std::env::var_os(CHILD).is_some() {
         measure();
         return;
     }
     let output = Command::new(std::env::current_exe().expect("the test binary"))
-        .args([TEST, "--exact", "--nocapture", "--test-threads=1"])
+        .args([name, "--exact", "--nocapture", "--test-threads=1"])
         .env(CHILD, "1")
         .output()
         .expect("the child test runs");
@@ -83,5 +89,20 @@ fn a_long_random_suite_streams_in_bounded_memory() {
     assert!(
         grown < BOUND_KB,
         "peak resident set grew {grown} kB, over the {BOUND_KB} kB bound: {stdout}"
+    );
+}
+
+#[test]
+fn a_long_random_suite_streams_in_bounded_memory() {
+    measured_alone("a_long_random_suite_streams_in_bounded_memory", || {
+        measure(50_000, &mut ())
+    });
+}
+
+#[test]
+fn the_scenario_observers_stay_bounded_on_a_long_suite() {
+    measured_alone(
+        "the_scenario_observers_stay_bounded_on_a_long_suite",
+        || measure(200_000, &mut ScenarioObserver::default()),
     );
 }
