@@ -28,7 +28,7 @@
 //! assert!(log.dirty_gates().contains(&g));
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use halotis_core::{GateId, NetId, PinRef};
 
@@ -176,8 +176,9 @@ impl<'a> EditSession<'a> {
     /// # Errors
     ///
     /// [`NetlistError::ArityMismatch`] when `inputs` does not match the
-    /// cell's input count, [`NetlistError::DuplicateNet`] when `output_name`
-    /// is already taken.
+    /// cell's input count, [`NetlistError::DuplicateGate`] when a gate is
+    /// already called `name`, [`NetlistError::DuplicateNet`] when
+    /// `output_name` is already taken.
     ///
     /// # Panics
     ///
@@ -197,6 +198,9 @@ impl<'a> EditSession<'a> {
                 kind,
                 provided: inputs.len(),
             });
+        }
+        if self.netlist.gates.iter().any(|gate| gate.name == name) {
+            return Err(NetlistError::DuplicateGate { name });
         }
         if self.netlist.names.contains_key(&output_name) {
             return Err(NetlistError::DuplicateNet { name: output_name });
@@ -701,11 +705,17 @@ pub fn check_invariants(netlist: &Netlist) {
         }
     }
     let mut expected_loads: HashMap<NetId, Vec<PinRef>> = HashMap::new();
+    let mut gate_names = HashSet::new();
     for (index, gate) in netlist.gates.iter().enumerate() {
         assert_eq!(
             gate.id.index(),
             index,
             "gate id/slot mismatch for {}",
+            gate.name
+        );
+        assert!(
+            gate_names.insert(gate.name.as_str()),
+            "duplicate gate name {}",
             gate.name
         );
         assert_eq!(
@@ -838,6 +848,21 @@ mod tests {
             .insert_gate(CellKind::Inv, "gi", &[i1], "n10")
             .unwrap_err();
         assert!(matches!(err, NetlistError::DuplicateNet { .. }));
+    }
+
+    #[test]
+    fn insert_gate_duplicate_gate_name_is_rejected() {
+        let mut netlist = c17();
+        let before = netlist.clone();
+        let taken = netlist.gates()[0].name().to_string();
+        let i1 = netlist.net_id("i1").unwrap();
+        let mut edit = netlist.begin_edit();
+        let err = edit
+            .insert_gate(CellKind::Inv, taken.as_str(), &[i1], "fresh")
+            .unwrap_err();
+        assert_eq!(err, NetlistError::DuplicateGate { name: taken });
+        assert!(edit.finish().is_empty());
+        assert_eq!(netlist, before);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! well-formedness (single driver per net, correct gate arity, no
 //! combinational loops) before releasing the immutable [`Netlist`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use halotis_core::{Capacitance, GateId, NetId, PinRef};
@@ -142,6 +143,11 @@ pub enum NetlistError {
         /// The clashing name.
         name: String,
     },
+    /// Two gate instances were given the same name.
+    DuplicateGate {
+        /// The clashing name.
+        name: String,
+    },
     /// A gate was connected with the wrong number of inputs.
     ArityMismatch {
         /// The gate instance name.
@@ -203,6 +209,7 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::DuplicateNet { name } => write!(f, "duplicate net name: {name}"),
+            NetlistError::DuplicateGate { name } => write!(f, "duplicate gate name: {name}"),
             NetlistError::ArityMismatch {
                 gate,
                 kind,
@@ -395,6 +402,10 @@ impl Netlist {
     }
 }
 
+/// The driver of a net no gate output has been connected to yet; `build`
+/// rejects a net still carrying it.
+const UNDRIVEN: NetDriver = NetDriver::Gate(GateId::new(u32::MAX));
+
 /// Incremental netlist constructor.
 #[derive(Clone, Debug)]
 pub struct NetlistBuilder {
@@ -409,61 +420,89 @@ pub struct NetlistBuilder {
 impl NetlistBuilder {
     /// Starts building a circuit called `name`.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_capacity(name, 0, 0)
+    }
+
+    /// Starts building a circuit with room for `nets` nets and `gates`
+    /// gates, as a parser knows from its input.
+    pub(crate) fn with_capacity(name: impl Into<String>, nets: usize, gates: usize) -> Self {
         NetlistBuilder {
             name: name.into(),
-            gates: Vec::new(),
-            nets: Vec::new(),
-            names: HashMap::new(),
+            gates: Vec::with_capacity(gates),
+            nets: Vec::with_capacity(nets),
+            names: HashMap::with_capacity(nets),
             primary_inputs: Vec::new(),
             primary_outputs: Vec::new(),
         }
     }
 
+    /// Creates the net `name` with `driver`, hashing the name once, or
+    /// returns the net already called `name`.
     fn new_net(&mut self, name: String, driver: NetDriver) -> NetId {
-        let id = NetId::from_usize(self.nets.len());
-        self.nets.push(Net {
-            id,
-            name: name.clone(),
-            driver,
-            loads: Vec::new(),
-            is_primary_output: false,
-        });
-        self.names.insert(name, id);
-        id
+        match self.names.entry(name) {
+            Entry::Occupied(existing) => *existing.get(),
+            Entry::Vacant(slot) => {
+                let id = NetId::from_usize(self.nets.len());
+                self.nets.push(Net {
+                    id,
+                    name: slot.key().clone(),
+                    driver,
+                    loads: Vec::new(),
+                    is_primary_output: false,
+                });
+                slot.insert(id);
+                id
+            }
+        }
     }
 
     /// Declares a primary input and returns its net.
     ///
-    /// Declaring the same input name twice returns the existing net.
-    pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.names.get(&name) {
+    /// Declaring the same input name twice returns the existing net.  The
+    /// name is copied only for a new net.
+    pub fn add_input(&mut self, name: impl AsRef<str> + Into<String>) -> NetId {
+        if let Some(&id) = self.names.get(name.as_ref()) {
             return id;
         }
-        let id = self.new_net(name, NetDriver::PrimaryInput);
+        let id = self.new_net(name.into(), NetDriver::PrimaryInput);
         self.primary_inputs.push(id);
         id
     }
 
     /// Declares (or retrieves) an internal net by name.  The net has no
-    /// driver until a gate output is connected to it.
-    pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.names.get(&name) {
+    /// driver until a gate output is connected to it; the name is copied
+    /// only for a new net.
+    pub fn add_net(&mut self, name: impl AsRef<str> + Into<String>) -> NetId {
+        if let Some(&id) = self.names.get(name.as_ref()) {
             return id;
         }
-        // Temporarily mark as primary input-less; the driver is patched when a
-        // gate output connects.  Undriven nets are rejected in `build`.
-        let id = NetId::from_usize(self.nets.len());
-        self.nets.push(Net {
-            id,
-            name: name.clone(),
-            driver: NetDriver::Gate(GateId::new(u32::MAX)),
-            loads: Vec::new(),
-            is_primary_output: false,
-        });
-        self.names.insert(name, id);
-        id
+        // Undriven nets are rejected in `build`.
+        self.new_net(name.into(), UNDRIVEN)
+    }
+
+    /// [`add_net`](Self::add_net) for a name that is nearly always new, as
+    /// a parser's `wire` declarations are: it copies the name up front and
+    /// so hashes it once, not twice.
+    pub(crate) fn declare_net(&mut self, name: &str) -> NetId {
+        self.new_net(name.to_string(), UNDRIVEN)
+    }
+
+    /// Makes each named net a primary input, creating the nets that do not
+    /// exist yet, and orders the primary inputs by net id.  Called before
+    /// any gate is added, while every net is still undriven or an input, so
+    /// nets a parser pre-declared keep their numbers and become inputs in
+    /// that order, followed by the new ones in `names` order.
+    pub(crate) fn declare_inputs(&mut self, names: &[&str]) {
+        debug_assert!(self.gates.is_empty(), "inputs are declared before gates");
+        for &name in names {
+            let id = self.add_net(name);
+            let net = &mut self.nets[id.index()];
+            if net.driver == UNDRIVEN {
+                net.driver = NetDriver::PrimaryInput;
+                self.primary_inputs.push(id);
+            }
+        }
+        self.primary_inputs.sort_unstable();
     }
 
     /// `true` when a net with this name exists.
@@ -553,18 +592,10 @@ impl NetlistBuilder {
             });
         }
         let out_net = &mut self.nets[output.index()];
-        match out_net.driver {
-            NetDriver::PrimaryInput => {
-                return Err(NetlistError::MultipleDrivers {
-                    net: out_net.name.clone(),
-                })
-            }
-            NetDriver::Gate(existing) if existing != GateId::new(u32::MAX) => {
-                return Err(NetlistError::MultipleDrivers {
-                    net: out_net.name.clone(),
-                })
-            }
-            NetDriver::Gate(_) => {}
+        if out_net.driver != UNDRIVEN {
+            return Err(NetlistError::MultipleDrivers {
+                net: out_net.name.clone(),
+            });
         }
         let id = GateId::from_usize(self.gates.len());
         out_net.driver = NetDriver::Gate(id);
@@ -588,19 +619,25 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UndrivenNet`] for nets that are used but never
-    /// driven, and [`NetlistError::CombinationalLoop`] when the gate graph is
-    /// cyclic.
+    /// Returns [`NetlistError::DuplicateGate`] when two gates share an
+    /// instance name, [`NetlistError::UndrivenNet`] for nets that are used
+    /// but never driven, and [`NetlistError::CombinationalLoop`] when the
+    /// gate graph is cyclic.
     pub fn build(self) -> Result<Netlist, NetlistError> {
-        // Undriven nets: the add_net placeholder driver is a sentinel GateId.
-        for net in &self.nets {
-            if let NetDriver::Gate(id) = net.driver {
-                if id == GateId::new(u32::MAX) {
-                    return Err(NetlistError::UndrivenNet {
-                        net: net.name.clone(),
-                    });
-                }
-            }
+        let mut gate_names = HashSet::with_capacity(self.gates.len());
+        if let Some(gate) = self
+            .gates
+            .iter()
+            .find(|gate| !gate_names.insert(gate.name.as_str()))
+        {
+            return Err(NetlistError::DuplicateGate {
+                name: gate.name.clone(),
+            });
+        }
+        if let Some(net) = self.nets.iter().find(|net| net.driver == UNDRIVEN) {
+            return Err(NetlistError::UndrivenNet {
+                net: net.name.clone(),
+            });
         }
         // Cycle detection: Kahn's algorithm over gate dependencies.
         // Sequential gates break the graph at both ends — their stored
@@ -878,13 +915,15 @@ mod tests {
     fn error_messages_are_descriptive() {
         let messages = [
             NetlistError::DuplicateNet { name: "n".into() }.to_string(),
+            NetlistError::DuplicateGate { name: "g".into() }.to_string(),
             NetlistError::UndrivenNet { net: "x".into() }.to_string(),
             NetlistError::CombinationalLoop { gate: "g".into() }.to_string(),
             NetlistError::MultipleDrivers { net: "y".into() }.to_string(),
         ];
         assert!(messages[0].contains("duplicate net"));
-        assert!(messages[1].contains("no driver"));
-        assert!(messages[2].contains("loop"));
-        assert!(messages[3].contains("driven more than once"));
+        assert_eq!(messages[1], "duplicate gate name: g");
+        assert!(messages[2].contains("no driver"));
+        assert!(messages[3].contains("loop"));
+        assert!(messages[4].contains("driven more than once"));
     }
 }

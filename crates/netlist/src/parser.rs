@@ -23,9 +23,15 @@
 //! [`writer`](crate::writer) always emits them, which makes
 //! `parse(to_text(netlist))` reconstruct the original net numbering — and
 //! therefore an identical event schedule — bit for bit.
+//!
+//! The parser borrows from the text.  It reads the lines into a
+//! `CircuitSpec` of slices of the input, with one flat list for every
+//! gate's input nets, and assembles the netlist from that: a name is copied
+//! once, when its net or gate is created, and a net is looked up by `&str`.
+//! The [`verilog`](crate::verilog) reader lowers into the same spec.
 
-use std::collections::HashSet;
 use std::fmt;
+use std::ops::Range;
 
 use crate::cell::CellKind;
 use crate::netlist::{Netlist, NetlistBuilder, NetlistError};
@@ -71,28 +77,34 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseError {
 /// One gate statement, format-agnostic: what cell, which nets, where in the
 /// source it came from.  Both the `.net` parser and the structural-Verilog
 /// parser ([`verilog`](crate::verilog)) lower their surface syntax into this
-/// shape.
-pub(crate) struct GateSpec {
+/// shape.  Names are slices of the parsed text.
+pub(crate) struct GateSpec<'a> {
     /// 1-based source line of the statement, for error anchoring.
     pub(crate) line: usize,
     pub(crate) kind: CellKind,
-    pub(crate) instance: String,
-    pub(crate) inputs: Vec<String>,
-    pub(crate) output: String,
+    pub(crate) instance: &'a str,
+    /// The input nets, in pin order, as a range of [`CircuitSpec::pins`].
+    pub(crate) inputs: Range<usize>,
+    pub(crate) output: &'a str,
     pub(crate) thresholds: Option<Vec<f64>>,
 }
 
 /// A whole circuit as named sections — the format-independent intermediate
-/// form between tokenization and [`NetlistBuilder`] assembly.
-pub(crate) struct CircuitSpec {
-    pub(crate) name: String,
-    pub(crate) inputs: Vec<String>,
-    pub(crate) outputs: Vec<String>,
+/// form between tokenization and [`NetlistBuilder`] assembly.  It borrows
+/// every name from the parsed text, so building it allocates only its
+/// vectors.
+#[derive(Default)]
+pub(crate) struct CircuitSpec<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) inputs: Vec<&'a str>,
+    pub(crate) outputs: Vec<&'a str>,
     /// Pre-declared nets in declaration order.  When present, these pin the
     /// [`NetId`](halotis_core::NetId) numbering exactly (see the module
     /// docs); nets first mentioned by a gate statement are appended after.
-    pub(crate) wires: Vec<String>,
-    pub(crate) gates: Vec<GateSpec>,
+    pub(crate) wires: Vec<&'a str>,
+    pub(crate) gates: Vec<GateSpec<'a>>,
+    /// Every gate's input nets, gate after gate.
+    pub(crate) pins: Vec<&'a str>,
 }
 
 /// Errors produced while assembling a [`CircuitSpec`] into a [`Netlist`].
@@ -110,34 +122,33 @@ pub(crate) enum AssembleError {
 /// pre-create nets so numbering is exactly the declaration order, primary
 /// inputs keep their input-driver role regardless of which section mentions
 /// them first, and nets first referenced by a gate are created on the spot.
-pub(crate) fn assemble(spec: CircuitSpec) -> Result<Netlist, AssembleError> {
-    let mut builder = NetlistBuilder::new(spec.name);
+pub(crate) fn assemble(spec: CircuitSpec<'_>) -> Result<Netlist, AssembleError> {
+    // Every net is a wire entry, or else a primary input or a gate output.
+    let nets = spec.wires.len().max(spec.inputs.len() + spec.gates.len());
+    let mut builder = NetlistBuilder::with_capacity(spec.name, nets, spec.gates.len());
     // `wire` entries fix net numbering to declaration order; primary inputs
     // keep their input-driver role regardless of which line declares them
     // first.  Declaring a net no gate drives is still an error in `build`.
-    let inputs: HashSet<&str> = spec.inputs.iter().map(String::as_str).collect();
-    for wire in &spec.wires {
-        if inputs.contains(wire.as_str()) {
-            builder.add_input(wire);
-        } else {
-            builder.add_net(wire);
-        }
+    for &wire in &spec.wires {
+        builder.declare_net(wire);
     }
-    for input in &spec.inputs {
-        builder.add_input(input);
-    }
+    builder.declare_inputs(&spec.inputs);
+    let mut input_ids = Vec::new();
     for gate in &spec.gates {
-        let input_ids: Vec<_> = gate.inputs.iter().map(|n| builder.add_net(n)).collect();
-        let output_id = builder.add_net(&gate.output);
+        input_ids.clear();
+        for &net in &spec.pins[gate.inputs.clone()] {
+            input_ids.push(builder.add_net(net));
+        }
+        let output_id = builder.add_net(gate.output);
         let result = match &gate.thresholds {
             Some(vt) => builder.add_gate_with_thresholds(
                 gate.kind,
-                &gate.instance,
+                gate.instance,
                 &input_ids,
                 output_id,
                 vt,
             ),
-            None => builder.add_gate(gate.kind, &gate.instance, &input_ids, output_id),
+            None => builder.add_gate(gate.kind, gate.instance, &input_ids, output_id),
         };
         result.map_err(|err| match err {
             NetlistError::ArityMismatch { .. } | NetlistError::ThresholdOverrideArity { .. } => {
@@ -149,7 +160,7 @@ pub(crate) fn assemble(spec: CircuitSpec) -> Result<Netlist, AssembleError> {
             other => AssembleError::Netlist(other),
         })?;
     }
-    for output in &spec.outputs {
+    for &output in &spec.outputs {
         let id = builder.add_net(output);
         builder.mark_output(id);
     }
@@ -181,86 +192,105 @@ pub(crate) fn assemble(spec: CircuitSpec) -> Result<Netlist, AssembleError> {
 /// # Ok::<(), halotis_netlist::parser::ParseError>(())
 /// ```
 pub fn parse(text: &str) -> Result<Netlist, ParseError> {
-    let mut name = String::from("unnamed");
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut wires: Vec<String> = Vec::new();
-    let mut gate_lines: Vec<GateSpec> = Vec::new();
+    // Written netlists are ASCII, and there the byte-wise split finds the
+    // same words as `split_whitespace`, faster, unless a vertical tab (the
+    // one ASCII whitespace character it keeps) appears.
+    let spec = if text.is_ascii() && !text.contains('\x0b') {
+        read_lines(text, str::split_ascii_whitespace)?
+    } else {
+        read_lines(text, str::split_whitespace)?
+    };
+    assemble(spec).map_err(ParseError::from)
+}
 
+/// Reads every line of `text` into a [`CircuitSpec`], splitting lines into
+/// words with `words`.
+fn read_lines<'a, W: Iterator<Item = &'a str>>(
+    text: &'a str,
+    words: impl Fn(&'a str) -> W,
+) -> Result<CircuitSpec<'a>, ParseError> {
+    let mut spec = CircuitSpec {
+        name: "unnamed",
+        ..CircuitSpec::default()
+    };
+    // About what a written netlist holds: a gate per 24 bytes, a pin per 12.
+    spec.gates.reserve(text.len() / 24);
+    spec.pins.reserve(text.len() / 12);
+    // The writer emits no comments, and text without any skips the search.
+    let comments = text.contains('#');
     for (index, raw) in text.lines().enumerate() {
         let line_number = index + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
+        let line = if comments {
+            raw.find('#').map_or(raw, |comment| &raw[..comment])
+        } else {
+            raw
+        };
+        let mut tokens = words(line);
         match tokens.next() {
             Some("circuit") => {
-                name = tokens
+                spec.name = tokens
                     .next()
-                    .ok_or_else(|| syntax(line_number, "circuit needs a name"))?
-                    .to_string();
+                    .ok_or_else(|| syntax(line_number, "circuit needs a name"))?;
             }
-            Some("input") => inputs.extend(tokens.map(str::to_string)),
-            Some("output") => outputs.extend(tokens.map(str::to_string)),
-            Some("wire") => wires.extend(tokens.map(str::to_string)),
+            Some("input") => spec.inputs.extend(tokens),
+            Some("output") => spec.outputs.extend(tokens),
+            Some("wire") => spec.wires.extend(tokens),
             Some("gate") => {
-                let kind_token = tokens
-                    .next()
-                    .ok_or_else(|| syntax(line_number, "gate needs a cell kind"))?;
-                let kind: CellKind = kind_token
-                    .parse()
-                    .map_err(|_| syntax(line_number, format!("unknown cell kind {kind_token}")))?;
-                let instance = tokens
-                    .next()
-                    .ok_or_else(|| syntax(line_number, "gate needs an instance name"))?
-                    .to_string();
-                let rest: Vec<&str> = tokens.collect();
-                let arrow = rest
-                    .iter()
-                    .position(|&t| t == "->")
-                    .ok_or_else(|| syntax(line_number, "gate needs '-> <output net>'"))?;
-                let gate_inputs: Vec<String> =
-                    rest[..arrow].iter().map(|s| s.to_string()).collect();
-                let mut after = rest[arrow + 1..].iter();
-                let output = after
-                    .next()
-                    .ok_or_else(|| syntax(line_number, "missing output net after '->'"))?
-                    .to_string();
-                let mut thresholds = None;
-                for extra in after {
-                    if let Some(list) = extra.strip_prefix("vt=") {
-                        let parsed: Result<Vec<f64>, _> =
-                            list.split(',').map(str::parse::<f64>).collect();
-                        thresholds = Some(parsed.map_err(|_| {
-                            syntax(line_number, format!("invalid threshold list {list}"))
-                        })?);
-                    } else {
-                        return Err(syntax(line_number, format!("unexpected token {extra}")));
-                    }
-                }
-                gate_lines.push(GateSpec {
-                    line: line_number,
-                    kind,
-                    instance,
-                    inputs: gate_inputs,
-                    output,
-                    thresholds,
-                });
+                let gate = parse_gate(line_number, tokens, &mut spec.pins)?;
+                spec.gates.push(gate);
             }
             Some(other) => return Err(syntax(line_number, format!("unknown keyword {other}"))),
-            None => unreachable!("blank lines are skipped"),
+            None => {}
         }
     }
+    Ok(spec)
+}
 
-    assemble(CircuitSpec {
-        name,
+/// Parses the rest of the `gate` statement on line `line`, appending its
+/// input nets to `pins`.
+fn parse_gate<'a>(
+    line: usize,
+    mut tokens: impl Iterator<Item = &'a str>,
+    pins: &mut Vec<&'a str>,
+) -> Result<GateSpec<'a>, ParseError> {
+    let kind_token = tokens
+        .next()
+        .ok_or_else(|| syntax(line, "gate needs a cell kind"))?;
+    let kind: CellKind = kind_token
+        .parse()
+        .map_err(|_| syntax(line, format!("unknown cell kind {kind_token}")))?;
+    let instance = tokens
+        .next()
+        .ok_or_else(|| syntax(line, "gate needs an instance name"))?;
+    let first_input = pins.len();
+    loop {
+        match tokens.next() {
+            Some("->") => break,
+            Some(net) => pins.push(net),
+            None => return Err(syntax(line, "gate needs '-> <output net>'")),
+        }
+    }
+    let inputs = first_input..pins.len();
+    let output = tokens
+        .next()
+        .ok_or_else(|| syntax(line, "missing output net after '->'"))?;
+    let mut thresholds = None;
+    for extra in tokens {
+        let Some(list) = extra.strip_prefix("vt=") else {
+            return Err(syntax(line, format!("unexpected token {extra}")));
+        };
+        let parsed: Result<Vec<f64>, _> = list.split(',').map(str::parse::<f64>).collect();
+        thresholds =
+            Some(parsed.map_err(|_| syntax(line, format!("invalid threshold list {list}")))?);
+    }
+    Ok(GateSpec {
+        line,
+        kind,
+        instance,
         inputs,
-        outputs,
-        wires,
-        gates: gate_lines,
+        output,
+        thresholds,
     })
-    .map_err(ParseError::from)
 }
 
 impl From<AssembleError> for ParseError {
@@ -320,6 +350,17 @@ gate inv g2 n1 -> y
     }
 
     #[test]
+    fn every_whitespace_character_separates_words() {
+        // ASCII text is split byte-wise; a vertical tab or a non-ASCII
+        // space sends the text down `split_whitespace`, with the same words.
+        let plain = parse(HALF_ADDER).unwrap();
+        for separator in ["\t", "\x0b", "\u{a0}", "\u{2028}"] {
+            let text = HALF_ADDER.replace(' ', separator);
+            assert_eq!(parse(&text).unwrap(), plain, "{separator:?}");
+        }
+    }
+
+    #[test]
     fn nets_can_be_referenced_before_their_driver() {
         let text = "\
 circuit order
@@ -353,5 +394,18 @@ gate inv g1 a -> n1
             undriven,
             Err(ParseError::Netlist(NetlistError::UndrivenNet { .. }))
         ));
+        let duplicate_gate =
+            parse("circuit c\ninput a\noutput y z\ngate inv g a -> y\ngate inv g a -> z\n")
+                .unwrap_err();
+        assert_eq!(
+            duplicate_gate,
+            ParseError::Netlist(NetlistError::DuplicateGate {
+                name: "g".to_string()
+            })
+        );
+        assert_eq!(
+            duplicate_gate.to_string(),
+            "invalid netlist: duplicate gate name: g"
+        );
     }
 }

@@ -22,6 +22,11 @@
 //! (* vt = "0.30" *) not g1 (n1, a);
 //! ```
 //!
+//! The reader borrows from the source: its tokens are slices of the text,
+//! and it lowers the module into the same borrowed `CircuitSpec` the `.net`
+//! [`parser`](crate::parser) builds, so a name is copied only into the
+//! finished netlist.
+//!
 //! # Example
 //!
 //! ```
@@ -302,13 +307,14 @@ pub fn to_verilog(netlist: &Netlist) -> String {
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
+/// One token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
     /// A simple or escaped identifier (escaping already stripped).  Keywords
     /// arrive as identifiers too; the parser tells them apart by value.
-    Ident(String),
+    Ident(&'a str),
     /// A quoted string literal, quotes stripped (attribute values).
-    Str(String),
+    Str(&'a str),
     LParen,
     RParen,
     Comma,
@@ -318,7 +324,7 @@ enum Token {
     AttrClose,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(name) => write!(f, "'{name}'"),
@@ -335,117 +341,108 @@ impl fmt::Display for Token {
 }
 
 /// Tokenizes Verilog source, tracking 1-based line numbers and stripping
-/// `//` and `/* */` comments.
-fn lex(text: &str) -> Result<Vec<(Token, usize)>, VerilogError> {
-    let mut tokens = Vec::new();
-    let mut chars = text.char_indices().peekable();
+/// `//` and `/* */` comments.  The scan is over bytes: a character is
+/// decoded only at a non-ASCII byte outside comments, strings and escaped
+/// identifiers, where it must be whitespace.
+fn lex(text: &str) -> Result<Vec<(Token<'_>, usize)>, VerilogError> {
     let bytes = text.as_bytes();
+    // Written modules run about three bytes to a token.
+    let mut tokens = Vec::with_capacity(text.len() / 3);
     let mut line = 1usize;
-
-    while let Some((start, c)) = chars.next() {
-        match c {
-            '\n' => line += 1,
-            c if c.is_whitespace() => {}
-            '/' => match chars.peek() {
-                Some((_, '/')) => {
-                    for (_, c) in chars.by_ref() {
-                        if c == '\n' {
+    let mut at = 0;
+    while let Some(&byte) = bytes.get(at) {
+        let start = at;
+        at += 1;
+        let token = match byte {
+            b'\n' => {
+                line += 1;
+                continue;
+            }
+            // The other ASCII characters `char::is_whitespace` accepts.
+            b'\t' | b'\x0b' | b'\x0c' | b'\r' | b' ' => continue,
+            b'/' => {
+                match bytes.get(at) {
+                    Some(b'/') => match bytes[at..].iter().position(|&b| b == b'\n') {
+                        Some(end) => {
+                            at += end + 1;
                             line += 1;
-                            break;
                         }
-                    }
-                }
-                Some((_, '*')) => {
-                    chars.next();
-                    let mut closed = false;
-                    while let Some((_, c)) = chars.next() {
-                        if c == '\n' {
-                            line += 1;
-                        } else if c == '*' {
-                            if let Some((_, '/')) = chars.peek() {
-                                chars.next();
-                                closed = true;
-                                break;
+                        None => at = bytes.len(),
+                    },
+                    Some(b'*') => {
+                        at += 1;
+                        loop {
+                            match bytes.get(at) {
+                                None => return Err(syntax(line, "unterminated block comment")),
+                                Some(b'\n') => line += 1,
+                                Some(b'*') if bytes.get(at + 1) == Some(&b'/') => {
+                                    at += 2;
+                                    break;
+                                }
+                                Some(_) => {}
                             }
+                            at += 1;
                         }
                     }
-                    if !closed {
-                        return Err(syntax(line, "unterminated block comment"));
-                    }
+                    _ => return Err(syntax(line, "unexpected character '/'")),
                 }
-                _ => return Err(syntax(line, "unexpected character '/'")),
+                continue;
+            }
+            b'(' if bytes.get(at) == Some(&b'*') => {
+                at += 1;
+                Token::AttrOpen
+            }
+            b'(' => Token::LParen,
+            b'*' if bytes.get(at) == Some(&b')') => {
+                at += 1;
+                Token::AttrClose
+            }
+            b'*' => return Err(syntax(line, "unexpected character '*'")),
+            b')' => Token::RParen,
+            b',' => Token::Comma,
+            b';' => Token::Semi,
+            b'=' => Token::Equals,
+            b'"' => match bytes[at..].iter().position(|&b| b == b'"' || b == b'\n') {
+                Some(len) if bytes[at + len] == b'"' => {
+                    let value = &text[at..at + len];
+                    at += len + 1;
+                    Token::Str(value)
+                }
+                _ => return Err(syntax(line, "unterminated string literal")),
             },
-            '(' => {
-                if let Some((_, '*')) = chars.peek() {
-                    chars.next();
-                    tokens.push((Token::AttrOpen, line));
-                } else {
-                    tokens.push((Token::LParen, line));
-                }
-            }
-            '*' => {
-                if let Some((_, ')')) = chars.peek() {
-                    chars.next();
-                    tokens.push((Token::AttrClose, line));
-                } else {
-                    return Err(syntax(line, "unexpected character '*'"));
-                }
-            }
-            ')' => tokens.push((Token::RParen, line)),
-            ',' => tokens.push((Token::Comma, line)),
-            ';' => tokens.push((Token::Semi, line)),
-            '=' => tokens.push((Token::Equals, line)),
-            '"' => {
-                let content_start = start + 1;
-                let mut end = None;
-                for (index, c) in chars.by_ref() {
-                    if c == '"' {
-                        end = Some(index);
-                        break;
-                    }
-                    if c == '\n' {
-                        return Err(syntax(line, "unterminated string literal"));
-                    }
-                }
-                let end = end.ok_or_else(|| syntax(line, "unterminated string literal"))?;
-                tokens.push((Token::Str(text[content_start..end].to_string()), line));
-            }
-            '\\' => {
+            b'\\' => {
                 // Escaped identifier: everything up to the next whitespace.
-                let content_start = start + 1;
-                let mut end = text.len();
-                while let Some(&(index, c)) = chars.peek() {
-                    if c.is_whitespace() {
-                        end = index;
-                        break;
-                    }
-                    chars.next();
-                }
-                if end == content_start {
+                let rest = &text[at..];
+                let len = rest.find(char::is_whitespace).unwrap_or(rest.len());
+                if len == 0 {
                     return Err(syntax(line, "empty escaped identifier"));
                 }
-                tokens.push((Token::Ident(text[content_start..end].to_string()), line));
+                at += len;
+                Token::Ident(&rest[..len])
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut end = text.len();
-                while let Some(&(index, c)) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == '$' {
-                        chars.next();
-                    } else {
-                        end = index;
-                        break;
-                    }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                at += bytes[at..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_' || b == b'$'))
+                    .unwrap_or(bytes.len() - at);
+                Token::Ident(&text[start..at])
+            }
+            _ => {
+                let c = text[start..]
+                    .chars()
+                    .next()
+                    .expect("tokens end on char boundaries");
+                if c.is_whitespace() {
+                    at = start + c.len_utf8();
+                    continue;
                 }
-                debug_assert!(bytes[start].is_ascii());
-                tokens.push((Token::Ident(text[start..end].to_string()), line));
-            }
-            other => {
                 return Err(syntax(
                     line,
-                    format!("unexpected character '{other}' (structural subset only)"),
-                ))
+                    format!("unexpected character '{c}' (structural subset only)"),
+                ));
             }
-        }
+        };
+        tokens.push((token, line));
     }
     Ok(tokens)
 }
@@ -454,14 +451,14 @@ fn lex(text: &str) -> Result<Vec<(Token, usize)>, VerilogError> {
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Cursor {
-    tokens: Vec<(Token, usize)>,
+struct Cursor<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     position: usize,
 }
 
-impl Cursor {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.position).map(|(t, _)| t)
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.position).map(|&(t, _)| t)
     }
 
     /// Line of the current token (or of the last token at end of input).
@@ -472,15 +469,15 @@ impl Cursor {
             .map_or(1, |&(_, line)| line)
     }
 
-    fn next(&mut self) -> Option<&Token> {
-        let token = self.tokens.get(self.position).map(|(t, _)| t);
+    fn next(&mut self) -> Option<Token<'a>> {
+        let token = self.peek();
         if token.is_some() {
             self.position += 1;
         }
         token
     }
 
-    fn expect(&mut self, want: &Token, context: &str) -> Result<(), VerilogError> {
+    fn expect(&mut self, want: Token<'_>, context: &str) -> Result<(), VerilogError> {
         let line = self.line();
         match self.next() {
             Some(token) if token == want => Ok(()),
@@ -495,10 +492,10 @@ impl Cursor {
         }
     }
 
-    fn expect_ident(&mut self, context: &str) -> Result<String, VerilogError> {
+    fn expect_ident(&mut self, context: &str) -> Result<&'a str, VerilogError> {
         let line = self.line();
         match self.next() {
-            Some(Token::Ident(name)) => Ok(name.clone()),
+            Some(Token::Ident(name)) => Ok(name),
             Some(token) => Err(syntax(
                 line,
                 format!("expected an identifier {context}, got {token}"),
@@ -510,14 +507,15 @@ impl Cursor {
         }
     }
 
-    /// Parses `ident { "," ident }` up to (not consuming) the terminator.
-    fn ident_list(&mut self, context: &str) -> Result<Vec<String>, VerilogError> {
-        let mut names = vec![self.expect_ident(context)?];
-        while self.peek() == Some(&Token::Comma) {
+    /// Parses `ident { "," ident }` up to (not consuming) the terminator,
+    /// appending the names to `names`.
+    fn ident_list(&mut self, context: &str, names: &mut Vec<&'a str>) -> Result<(), VerilogError> {
+        names.push(self.expect_ident(context)?);
+        while self.peek() == Some(Token::Comma) {
             self.next();
             names.push(self.expect_ident(context)?);
         }
-        Ok(names)
+        Ok(())
     }
 }
 
@@ -561,49 +559,43 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
 
     let line = cursor.line();
     match cursor.next() {
-        Some(Token::Ident(keyword)) if keyword == "module" => {}
+        Some(Token::Ident("module")) => {}
         _ => return Err(syntax(line, "expected 'module' at the start of the source")),
     }
-    let name = cursor.expect_ident("as the module name")?;
+    let mut spec = CircuitSpec {
+        name: cursor.expect_ident("as the module name")?,
+        ..CircuitSpec::default()
+    };
 
     // The port list itself carries no information our assembly needs — the
     // input/output declarations repeat every name with its direction — so it
     // is validated for shape and recorded only to cross-check declarations.
-    let mut port_list: Option<Vec<String>> = None;
-    if cursor.peek() == Some(&Token::LParen) {
+    let mut port_list: Option<Vec<&str>> = None;
+    if cursor.peek() == Some(Token::LParen) {
         cursor.next();
-        if cursor.peek() == Some(&Token::RParen) {
+        let mut ports = Vec::new();
+        if cursor.peek() == Some(Token::RParen) {
             cursor.next();
-            port_list = Some(Vec::new());
         } else {
-            let ports = cursor.ident_list("in the module port list")?;
-            cursor.expect(&Token::RParen, "to close the module port list")?;
-            port_list = Some(ports);
+            cursor.ident_list("in the module port list", &mut ports)?;
+            cursor.expect(Token::RParen, "to close the module port list")?;
         }
+        port_list = Some(ports);
     }
-    cursor.expect(&Token::Semi, "after the module header")?;
-
-    let mut spec = CircuitSpec {
-        name,
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-        wires: Vec::new(),
-        gates: Vec::new(),
-    };
+    cursor.expect(Token::Semi, "after the module header")?;
 
     loop {
         let line = cursor.line();
         // Attribute instance, if any, prefixes a gate instantiation.
         let mut thresholds: Option<Vec<f64>> = None;
-        if cursor.peek() == Some(&Token::AttrOpen) {
+        if cursor.peek() == Some(Token::AttrOpen) {
             cursor.next();
             loop {
                 let attr_name = cursor.expect_ident("as an attribute name")?;
-                cursor.expect(&Token::Equals, "after the attribute name")?;
+                cursor.expect(Token::Equals, "after the attribute name")?;
                 let attr_line = cursor.line();
-                let value = match cursor.next() {
-                    Some(Token::Str(value)) => value.clone(),
-                    _ => return Err(syntax(attr_line, "attribute values must be quoted strings")),
+                let Some(Token::Str(value)) = cursor.next() else {
+                    return Err(syntax(attr_line, "attribute values must be quoted strings"));
                 };
                 if attr_name == "vt" {
                     let parsed: Result<Vec<f64>, _> =
@@ -624,12 +616,12 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
                     _ => break,
                 }
             }
-            cursor.expect(&Token::AttrClose, "to close the attribute instance")?;
+            cursor.expect(Token::AttrClose, "to close the attribute instance")?;
         }
 
         let keyword_line = cursor.line();
         let keyword = match cursor.next() {
-            Some(Token::Ident(keyword)) => keyword.clone(),
+            Some(Token::Ident(keyword)) => keyword,
             Some(token) => {
                 return Err(syntax(
                     keyword_line,
@@ -639,7 +631,7 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
             None => return Err(syntax(keyword_line, "missing 'endmodule'")),
         };
 
-        match keyword.as_str() {
+        match keyword {
             "endmodule" => {
                 if thresholds.is_some() {
                     return Err(syntax(line, "attribute instance before 'endmodule'"));
@@ -653,38 +645,40 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
                         "attribute instances are only supported on gate instances",
                     ));
                 }
-                let names = cursor.ident_list("in the declaration")?;
-                cursor.expect(&Token::Semi, "to end the declaration")?;
-                match keyword.as_str() {
-                    "input" => spec.inputs.extend(names),
-                    "output" => spec.outputs.extend(names),
-                    _ => spec.wires.extend(names),
-                }
+                let names = match keyword {
+                    "input" => &mut spec.inputs,
+                    "output" => &mut spec.outputs,
+                    _ => &mut spec.wires,
+                };
+                cursor.ident_list("in the declaration", names)?;
+                cursor.expect(Token::Semi, "to end the declaration")?;
             }
             "and" | "or" | "nand" | "nor" | "xor" | "xnor" | "not" | "buf" | "dff" | "dffrn"
             | "latchd" => {
                 let instance = cursor.expect_ident(
                     "as the instance name (anonymous primitive instances are not supported)",
                 )?;
-                cursor.expect(&Token::LParen, "to open the connection list")?;
-                let connections = cursor.ident_list("in the connection list")?;
-                cursor.expect(&Token::RParen, "to close the connection list")?;
-                cursor.expect(&Token::Semi, "to end the instance")?;
-                if connections.len() < 2 {
+                cursor.expect(Token::LParen, "to open the connection list")?;
+                let first = spec.pins.len();
+                cursor.ident_list("in the connection list", &mut spec.pins)?;
+                cursor.expect(Token::RParen, "to close the connection list")?;
+                cursor.expect(Token::Semi, "to end the instance")?;
+                let connections = spec.pins.len() - first;
+                if connections < 2 {
                     return Err(syntax(
                         keyword_line,
                         format!("'{keyword}' instance needs an output and at least one input"),
                     ));
                 }
-                let kind = cell_for_primitive(&keyword, connections.len() - 1)
+                let kind = cell_for_primitive(keyword, connections - 1)
                     .map_err(|message| syntax(keyword_line, message))?;
-                let mut connections = connections.into_iter();
-                let output = connections.next().expect("checked len >= 2 above");
+                // Connections are output-first; the inputs stay in `pins`.
+                let output = spec.pins.remove(first);
                 spec.gates.push(GateSpec {
                     line: keyword_line,
                     kind,
                     instance,
-                    inputs: connections.collect(),
+                    inputs: first..spec.pins.len(),
                     output,
                     thresholds,
                 });
@@ -709,14 +703,9 @@ pub fn parse_verilog(text: &str) -> Result<Netlist, VerilogError> {
     }
 
     if let Some(ports) = &port_list {
-        let declared: HashSet<&str> = spec
-            .inputs
-            .iter()
-            .chain(&spec.outputs)
-            .map(String::as_str)
-            .collect();
+        let declared: HashSet<&str> = spec.inputs.iter().chain(&spec.outputs).copied().collect();
         for port in ports {
-            if !declared.contains(port.as_str()) {
+            if !declared.contains(port) {
                 return Err(syntax(
                     1,
                     format!("port '{port}' has no input/output declaration"),
@@ -840,6 +829,23 @@ endmodule
     }
 
     #[test]
+    fn unicode_whitespace_separates_tokens_like_ascii_whitespace() {
+        // No-break space, line separator and vertical tab are whitespace to
+        // `char::is_whitespace`, and the no-break space ends an escaped name.
+        let source = "module\u{a0}m(a,\u{2028}y);\x0b input \\a\u{a0};\n output y;\n not g (y, a);\nendmodule\n";
+        let netlist = parse_verilog(source).unwrap();
+        assert_eq!(netlist.name(), "m");
+        assert!(netlist.net_id("a").is_some());
+        let err = parse_verilog("module m;\n  \u{e9}\nendmodule\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: unexpected character '\u{e9}' (structural subset only)"
+        );
+        let err = parse_verilog("module m(a);\n input \\\u{3000};\nendmodule\n").unwrap_err();
+        assert_eq!(err.to_string(), "line 2: empty escaped identifier");
+    }
+
+    #[test]
     fn keyword_net_names_are_emitted_escaped_and_survive_the_trip() {
         let mut builder = NetlistBuilder::new("kw");
         let a = builder.add_input("wire");
@@ -922,5 +928,19 @@ endmodule
             parse_verilog(undriven),
             Err(VerilogError::Netlist(NetlistError::UndrivenNet { .. }))
         ));
+        let duplicate_gate = "\
+module m(a, y, z);
+  input a;
+  output y, z;
+  not g (y, a);
+  not g (z, a);
+endmodule
+";
+        assert_eq!(
+            parse_verilog(duplicate_gate),
+            Err(VerilogError::Netlist(NetlistError::DuplicateGate {
+                name: "g".to_string()
+            }))
+        );
     }
 }

@@ -257,7 +257,25 @@ fn pipelined_overload_answers_quota_or_busy_and_slots_do_not_leak() {
         .unwrap()
         .to_string();
 
-    // A workload slow enough that pipelined requests pile up behind it.
+    // A second connection occupies the only worker first.  Its connection
+    // thread submits the simulate before it answers the `stats` behind it,
+    // so once that answer arrives, every simulate below queues behind a run
+    // of tens of thousands of vectors.
+    let mut holder = connect(&addr);
+    let long = StimulusSuite::RandomVectors {
+        vectors: 60_000,
+        period: TimeDelta::from_ns(5.0),
+        seed: 0xBEEF,
+    };
+    holder
+        .send(&simulate_request(2, &key, &long, "ddm"))
+        .unwrap();
+    holder.send(&stats_request(3)).unwrap();
+    let stats = holder.recv().unwrap().expect("stats answered");
+    assert_eq!(stats.id, Some(3), "the long simulate ended before stats");
+
+    // Two simulates fill the quota while they wait; the other six are
+    // refused at once.
     let heavy = StimulusSuite::RandomVectors {
         vectors: 200,
         period: TimeDelta::from_ns(5.0),
@@ -284,6 +302,9 @@ fn pipelined_overload_answers_quota_or_busy_and_slots_do_not_leak() {
         rejected >= 1,
         "an 8-deep pipeline must overflow a quota of 2"
     );
+    let held = holder.recv().unwrap().expect("the long simulate answered");
+    assert_eq!(held.id, Some(2));
+    assert!(held.ok().is_some(), "{:?}", held.error_code());
 
     // No leaked slots: sequential requests all succeed afterwards.
     for id in 100..104 {
@@ -296,6 +317,7 @@ fn pipelined_overload_answers_quota_or_busy_and_slots_do_not_leak() {
             response.error_code()
         );
     }
+    drop(holder);
     drop(client);
     stop(handle);
 }
