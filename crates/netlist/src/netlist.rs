@@ -11,7 +11,6 @@
 //! well-formedness (single driver per net, correct gate arity, no
 //! combinational loops) before releasing the immutable [`Netlist`].
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -436,24 +435,17 @@ impl NetlistBuilder {
         }
     }
 
-    /// Creates the net `name` with `driver`, hashing the name once, or
-    /// returns the net already called `name`.
     fn new_net(&mut self, name: String, driver: NetDriver) -> NetId {
-        match self.names.entry(name) {
-            Entry::Occupied(existing) => *existing.get(),
-            Entry::Vacant(slot) => {
-                let id = NetId::from_usize(self.nets.len());
-                self.nets.push(Net {
-                    id,
-                    name: slot.key().clone(),
-                    driver,
-                    loads: Vec::new(),
-                    is_primary_output: false,
-                });
-                slot.insert(id);
-                id
-            }
-        }
+        let id = NetId::from_usize(self.nets.len());
+        self.nets.push(Net {
+            id,
+            name: name.clone(),
+            driver,
+            loads: Vec::new(),
+            is_primary_output: false,
+        });
+        self.names.insert(name, id);
+        id
     }
 
     /// Declares a primary input and returns its net.
@@ -478,13 +470,6 @@ impl NetlistBuilder {
         }
         // Undriven nets are rejected in `build`.
         self.new_net(name.into(), UNDRIVEN)
-    }
-
-    /// [`add_net`](Self::add_net) for a name that is nearly always new, as
-    /// a parser's `wire` declarations are: it copies the name up front and
-    /// so hashes it once, not twice.
-    pub(crate) fn declare_net(&mut self, name: &str) -> NetId {
-        self.new_net(name.to_string(), UNDRIVEN)
     }
 
     /// Makes each named net a primary input, creating the nets that do not

@@ -346,8 +346,7 @@ impl fmt::Display for Token<'_> {
 /// identifiers, where it must be whitespace.
 fn lex(text: &str) -> Result<Vec<(Token<'_>, usize)>, VerilogError> {
     let bytes = text.as_bytes();
-    // Written modules run about three bytes to a token.
-    let mut tokens = Vec::with_capacity(text.len() / 3);
+    let mut tokens = Vec::new();
     let mut line = 1usize;
     let mut at = 0;
     while let Some(&byte) = bytes.get(at) {

@@ -7,15 +7,16 @@ working tree, alternating which side runs first, and writes
 `BENCH_<workload>.json`: per seed and per metric, each side's median and
 quartiles, the change's median over the parent's, and how many pairs the
 change won.  A claimed gain holds for a metric when the change won at least
-nine pairs in ten and its median beats the parent's by more than the
-parent's interquartile range.
+nine pairs in ten, its median beats the parent's by more than the parent's
+interquartile range, and no more of its operations failed.
 
-Each side builds its own `.bench_build` (the first pair pays the builds);
-the script edits nothing under `perfbench/`.
+Every run lasts `BENCHMARK.json`'s `run_seconds`.  Each side builds its own
+`.bench_build` (the first pair pays the builds); the script edits nothing
+under `perfbench/`.
 
 Usage, from the repository root:
     bench_pairs.py --workload serve_churn --seeds 1 424242 [--pairs 10]
-                   [--seconds 30] [--parent HEAD~1] [--out BENCH_serve_churn.json]
+                   [--parent HEAD~1]
     bench_pairs.py --self-test
 
 Exit codes: 0 record written, 1 a run failed, 2 usage error.
@@ -78,6 +79,7 @@ def spread(values):
 def summarize(pairs, directions):
     """Per-metric summary of `pairs`, a list of `{"parent": result,
     "change": result}`; `directions` maps a metric to "lower" or "higher"."""
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
     summary = {}
     for name, better in directions.items():
         values = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
@@ -97,13 +99,14 @@ def summarize(pairs, directions):
             "change": change,
             "change_over_parent": change["median"] / parent["median"] if parent["median"] else None,
             "pairs_won": won,
-            "claim_holds": won * 10 >= 9 * len(values) and margin > parent["q3"] - parent["q1"],
+            "claim_holds": (failed["change"] <= failed["parent"] and won * 10 >= 9 * len(values)
+                            and margin > parent["q3"] - parent["q1"]),
             "values": [[p, c] for p, c in values],
         }
     return summary
 
 
-def measure(args, parent_root, directions):
+def measure(args, seconds, parent_root, directions):
     """Runs every pair of every seed; the record's `series`, or None."""
     roots = {"parent": parent_root, "change": ROOT}
     series = []
@@ -113,7 +116,7 @@ def measure(args, parent_root, directions):
         for pair in range(args.pairs):
             results = {}
             for side in order(pair):
-                outcome = run_once(roots[side], args.workload, seed, args.seconds)
+                outcome = run_once(roots[side], args.workload, seed, seconds)
                 if outcome is None:
                     print(f"bench_pairs: {side} run failed (seed {seed}, pair {pair})",
                           file=sys.stderr)
@@ -125,6 +128,7 @@ def measure(args, parent_root, directions):
                 for side in ("parent", "change")), file=sys.stderr)
         series.append({
             "seed": seed,
+            "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in roots},
             "failed": {side: sum(p[side]["failed"] for p in pairs) for side in roots},
             "correct": all(p[side]["correct"] for p in pairs for side in roots),
             "metrics": summarize(pairs, directions),
@@ -138,9 +142,7 @@ def main():
     parser.add_argument("--workload", help="corpus_batch, serve_hot or serve_churn")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
-    parser.add_argument("--out", help="default BENCH_<workload>.json in the repository root")
     parser.add_argument("--self-test", action="store_true",
                         help="check the summary on synthetic results and exit")
     args = parser.parse_args()
@@ -149,13 +151,14 @@ def main():
     if not args.workload or args.pairs < 2:
         parser.error("--workload is required, and --pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        directions = {metric["name"]: metric["better"]
-                      for metric in json.load(handle)["end_to_end"]}
+        benchmark = json.load(handle)
+    directions = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     parent_commit = git("rev-parse", args.parent)
     parent_root = tempfile.mkdtemp(prefix="bench_pairs_")
     try:
         extract(parent_commit, parent_root)
-        series, stamps = measure(args, parent_root, directions)
+        series, stamps = measure(args, seconds, parent_root, directions)
     finally:
         shutil.rmtree(parent_root, ignore_errors=True)
     if series is None:
@@ -164,8 +167,8 @@ def main():
     record = {
         "workload": args.workload,
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED "
-                   f"--seconds {args.seconds:g} --trace 0",
-        "seconds": args.seconds,
+                   f"--seconds {seconds:g} --trace 0",
+        "seconds": seconds,
         "pairs": args.pairs,
         "cpu_count": os.cpu_count(),
         "rustc": change.get("rustc", "unknown"),
@@ -177,8 +180,7 @@ def main():
                                      "--", "crates", "src", "Cargo.toml", "Cargo.lock"))},
         "series": series,
     }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.workload}.json")
-    with open(out, "w") as handle:
+    with open(os.path.join(ROOT, f"BENCH_{args.workload}.json"), "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")
     for entry in series:
@@ -197,8 +199,8 @@ def self_test():
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
     assert spread([1, 2, 3, 4, 5]) == {"median": 3, "q1": 2, "q3": 4}
 
-    def result(load, rate):
-        return {"correct": True, "failed": 0, "metrics": {
+    def result(load, rate, failed=0):
+        return {"correct": True, "failed": failed, "metrics": {
             "load_us_p50": {"value": load, "unit": "us"},
             "requests_per_s": {"value": rate, "unit": "1/s"}}}
 
@@ -226,6 +228,12 @@ def self_test():
     # For a higher-is-better metric, a rise wins.
     faster = [{"parent": result(100.0, 50.0 + pair % 2), "change": result(100.0, 80.0)}
               for pair in range(10)]
+    assert summarize(faster, directions)["requests_per_s"]["claim_holds"]
+    # A gain does not hold when the change fails more operations.
+    faster[3]["change"] = result(100.0, 80.0, failed=1)
+    dropping = summarize(faster, directions)["requests_per_s"]
+    assert dropping["pairs_won"] == 10 and not dropping["claim_holds"], dropping
+    faster[5]["parent"] = result(100.0, 51.0, failed=1)
     assert summarize(faster, directions)["requests_per_s"]["claim_holds"]
     print("bench_pairs self-test: ok")
     return 0
