@@ -43,7 +43,10 @@ use crate::netlist::{Net, NetDriver, Netlist, NetlistError};
 /// [`dirty_gates`](EditLog::dirty_gates) / [`dirty_nets`](EditLog::dirty_nets)
 /// sets (expressed in the final id space) say which rows must be re-derived
 /// from the mutated netlist.  Operations that change no index layout
-/// (kind swaps, rewires) appear only through the dirty sets.
+/// (kind swaps, rewires) appear only through the dirty sets, and
+/// [`expose_net`](EditSession::expose_net) /
+/// [`unexpose_net`](EditSession::unexpose_net) not at all: the primary-output
+/// list lives only in the netlist, and holders read it from there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EditOp {
     /// A gate and its freshly created output net were appended at the end of
@@ -59,19 +62,6 @@ pub enum EditOp {
         gate_index: u32,
         /// Index the removed net held (and the moved net now holds).
         net_index: u32,
-    },
-    /// A net was appended to the primary-output list.
-    NetExposed {
-        /// The net's name (recorded literally so the op survives later
-        /// renumbering).
-        name: String,
-    },
-    /// A net lost its primary-output marking (the inverse of
-    /// [`NetExposed`](EditOp::NetExposed)).
-    NetUnexposed {
-        /// The net's name (recorded literally so the op survives later
-        /// renumbering).
-        name: String,
     },
 }
 
@@ -202,7 +192,7 @@ impl<'a> EditSession<'a> {
         if self.netlist.gates.iter().any(|gate| gate.name == name) {
             return Err(NetlistError::DuplicateGate { name });
         }
-        if self.netlist.names.contains_key(&output_name) {
+        if self.netlist.net_id(&output_name).is_some() {
             return Err(NetlistError::DuplicateNet { name: output_name });
         }
         for &input in inputs {
@@ -216,12 +206,11 @@ impl<'a> EditSession<'a> {
         let output = NetId::from_usize(self.netlist.nets.len());
         self.netlist.nets.push(Net {
             id: output,
-            name: output_name.clone(),
+            name: output_name,
             driver: NetDriver::Gate(gate),
             loads: Vec::new(),
             is_primary_output: false,
         });
-        self.netlist.names.insert(output_name, output);
         for (index, &input) in inputs.iter().enumerate() {
             self.netlist.nets[input.index()]
                 .loads
@@ -297,8 +286,7 @@ impl<'a> EditSession<'a> {
         }
 
         // Remove the output net, moving the then-last net into its slot.
-        let removed_net = self.netlist.nets.swap_remove(output.index());
-        self.netlist.names.remove(&removed_net.name);
+        self.netlist.nets.swap_remove(output.index());
         let old_last_net = NetId::from_usize(self.netlist.nets.len());
         let moved_net = (output != old_last_net).then_some(output);
         if moved_net.is_some() {
@@ -350,8 +338,6 @@ impl<'a> EditSession<'a> {
         moved.id = to;
         let moved_loads = moved.loads.clone();
         let moved_driver = moved.driver;
-        let moved_name = moved.name.clone();
-        netlist.names.insert(moved_name, to);
         for list in [&mut netlist.primary_inputs, &mut netlist.primary_outputs] {
             for slot in list.iter_mut() {
                 if *slot == from {
@@ -577,10 +563,8 @@ impl<'a> EditSession<'a> {
         if slot.is_primary_output {
             return Ok(());
         }
-        let name = slot.name.clone();
         self.netlist.nets[net.index()].is_primary_output = true;
         self.netlist.primary_outputs.push(net);
-        self.log.ops.push(EditOp::NetExposed { name });
         self.log.edits += 1;
         Ok(())
     }
@@ -588,7 +572,8 @@ impl<'a> EditSession<'a> {
     /// Clears a net's primary-output marking — the inverse of
     /// [`expose_net`](Self::expose_net).  Idempotent: un-exposing a net that
     /// is not a primary output is a successful no-op.  Primary inputs are
-    /// never primary outputs, so they always take the no-op path.
+    /// never primary outputs (the builder refuses such a netlist and
+    /// `expose_net` will not make one), so they always take the no-op path.
     ///
     /// # Panics
     ///
@@ -601,7 +586,6 @@ impl<'a> EditSession<'a> {
         if !self.netlist.nets[net.index()].is_primary_output {
             return Ok(());
         }
-        let name = self.netlist.nets[net.index()].name.clone();
         let position = self
             .netlist
             .primary_outputs
@@ -611,7 +595,6 @@ impl<'a> EditSession<'a> {
         self.netlist.nets[net.index()].is_primary_output = false;
         // `remove` keeps the remaining outputs in declaration order.
         self.netlist.primary_outputs.remove(position);
-        self.log.ops.push(EditOp::NetUnexposed { name });
         self.log.edits += 1;
         Ok(())
     }
@@ -646,11 +629,6 @@ impl<'a> EditSession<'a> {
 /// construction.  Panics on the first violation; intended for debug builds
 /// and tests.
 pub fn check_invariants(netlist: &Netlist) {
-    assert_eq!(
-        netlist.names.len(),
-        netlist.nets.len(),
-        "name map out of sync"
-    );
     for (index, net) in netlist.nets.iter().enumerate() {
         assert_eq!(
             net.id.index(),
@@ -658,18 +636,19 @@ pub fn check_invariants(netlist: &Netlist) {
             "net id/slot mismatch for {}",
             net.name
         );
-        assert_eq!(
-            netlist.names.get(&net.name),
-            Some(&net.id),
-            "name map stale for {}",
-            net.name
-        );
         match net.driver {
-            NetDriver::PrimaryInput => assert!(
-                netlist.primary_inputs.contains(&net.id),
-                "primary input {} missing from input list",
-                net.name
-            ),
+            NetDriver::PrimaryInput => {
+                assert!(
+                    netlist.primary_inputs.contains(&net.id),
+                    "primary input {} missing from input list",
+                    net.name
+                );
+                assert!(
+                    !net.is_primary_output,
+                    "primary input {} is also a primary output",
+                    net.name
+                );
+            }
             NetDriver::Gate(gate) => {
                 assert!(
                     gate.index() < netlist.gates.len(),
@@ -829,14 +808,8 @@ mod tests {
         assert!(netlist.net(output).is_primary_output());
         assert!(log.dirty_gates().contains(&gate));
         assert!(log.dirty_nets().contains(&i1));
-        assert!(log
-            .ops()
-            .iter()
-            .any(|op| matches!(op, EditOp::GateAppended { pin_count: 2 })));
-        assert!(log
-            .ops()
-            .iter()
-            .any(|op| matches!(op, EditOp::NetExposed { name, .. } if name == "xnet")));
+        // Exposing the new net records no op: outputs live in the netlist.
+        assert_eq!(log.ops(), &[EditOp::GateAppended { pin_count: 2 }]);
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! `s27.net` is the original published netlist gate for gate (three DFFs
 //! and ten combinational gates), with the implicit clock made explicit as
 //! the **first** primary input `clk` — the convention every clocked corpus
-//! suite follows.  [`s27_reference_step`] is the cycle-accurate integer
-//! reference model the differential tests evolve alongside the timing
-//! simulation.
+//! suite follows.  Its cycle-accurate reference model lives with the
+//! differential test that evolves it alongside the timing simulation
+//! (`tests/sequential_soak.rs`).
 
 use crate::netlist::Netlist;
 use crate::parser;
@@ -79,31 +79,6 @@ pub const S27_TEXT: &str = include_str!("../circuits/s27.net");
 /// ```
 pub fn s27() -> Netlist {
     parser::parse(S27_TEXT).expect("committed s27.net parses")
-}
-
-/// One clock cycle of the cycle-accurate s27 reference model.
-///
-/// `state` is the register state `[g5, g6, g7]` at the start of the cycle
-/// and `inputs` the data inputs `[g0, g1, g2, g3]`, held stable through
-/// the cycle.  Returns the settled value of the primary output `g17`
-/// before the next rising edge, and the state that edge captures.  Evolving
-/// from the power-up state `[false; 3]` reproduces the timing simulation's
-/// per-cycle settled outputs exactly — the executable spec of the
-/// sequential differential tests.
-pub fn s27_reference_step(state: [bool; 3], inputs: [bool; 4]) -> (bool, [bool; 3]) {
-    let [s5, s6, s7] = state;
-    let [g0, g1, g2, g3] = inputs;
-    let g14 = !g0;
-    let g12 = !(g1 || s7);
-    let g8 = g14 && s6;
-    let g15 = g12 || g8;
-    let g16 = g3 || g8;
-    let g9 = !(g16 && g15);
-    let g11 = !(s5 || g9);
-    let g17 = !g11;
-    let g10 = !(g14 || g11);
-    let g13 = !(g2 || g12);
-    (g17, [g10, g11, g13])
 }
 
 #[cfg(test)]
@@ -346,23 +321,6 @@ mod tests {
         // registers is shallow but non-trivial.
         let levels = levelize::levelize(&s27).unwrap();
         assert!(levels.depth() >= 4, "depth {}", levels.depth());
-    }
-
-    #[test]
-    fn s27_reference_model_follows_known_cycles() {
-        // Hand-traced from the netlist.  All-low inputs hold the reset
-        // state and g17 = 1; raising g3 forces g9 low, so g11 (and with it
-        // the captured g6) rises and g17 falls.
-        let (g17, state) = s27_reference_step([false; 3], [false; 4]);
-        assert!(g17);
-        assert_eq!(state, [false; 3], "all-low inputs hold reset");
-        let (g17, state) = s27_reference_step([false; 3], [false, false, false, true]);
-        assert!(!g17);
-        assert_eq!(state, [false, true, false]);
-        // From that state the same inputs are a fixed point.
-        let (g17, state) = s27_reference_step(state, [false, false, false, true]);
-        assert!(!g17);
-        assert_eq!(state, [false, true, false]);
     }
 
     #[test]

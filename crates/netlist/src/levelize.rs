@@ -11,6 +11,11 @@
 //! combinational cycles are errors, and they are reported as
 //! [`NetlistError::CombinationalLoop`] instead of panicking or looping
 //! forever.
+//!
+//! [`levelize`] is one Kahn pass over the gates and their fanout pins.  The
+//! same pass is the loop check of
+//! [`NetlistBuilder::build`](crate::NetlistBuilder::build), so the builder
+//! and the compiler sort the gate graph one way.
 
 use halotis_core::GateId;
 
@@ -95,7 +100,6 @@ impl Levelization {
                         }
                     }
                 }
-                EditOp::NetExposed { .. } | EditOp::NetUnexposed { .. } => {}
             }
         }
 
@@ -219,11 +223,11 @@ fn insert_sorted(list: &mut Vec<GateId>, gate: GateId) {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::CombinationalLoop`] (naming one gate on the
-/// cycle) if the netlist contains a register-free cycle.  [`NetlistBuilder`]
-/// and the parsers reject such circuits up front, so this is the checked
-/// backstop for internally constructed or mutated netlists — it replaces the
-/// panic the earlier combinational-only implementation documented.
+/// Returns [`NetlistError::CombinationalLoop`] (naming the lowest-indexed
+/// gate the cycle leaves without a level) if the netlist contains a
+/// register-free cycle.  [`NetlistBuilder`] runs this same pass, so every
+/// built netlist levelizes; on a netlist mutated in place it is the checked
+/// backstop.
 ///
 /// [`NetlistBuilder`]: crate::NetlistBuilder
 /// [`CellKind::is_sequential`]: crate::CellKind::is_sequential
@@ -238,44 +242,82 @@ fn insert_sorted(list: &mut Vec<GateId>, gate: GateId) {
 /// assert_eq!(levels.depth(), 4);
 /// ```
 pub fn levelize(netlist: &Netlist) -> Result<Levelization, NetlistError> {
-    let mut gate_level = vec![usize::MAX; netlist.gate_count()];
-    let mut remaining: Vec<usize> = (0..netlist.gate_count()).collect();
-    let mut current_level = 0usize;
-    let mut levels: Vec<Vec<GateId>> = Vec::new();
+    let gate_level = gate_levels(netlist)?;
+    let depth = gate_level.iter().max().map_or(0, |&level| level + 1);
+    let mut sizes = vec![0usize; depth];
+    for &level in &gate_level {
+        sizes[level] += 1;
+    }
+    let mut levels: Vec<Vec<GateId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    // Bucketing in id order keeps every level ascending by gate id.
+    for (index, &level) in gate_level.iter().enumerate() {
+        levels[level].push(GateId::from_usize(index));
+    }
+    Ok(Levelization { levels, gate_level })
+}
 
-    while !remaining.is_empty() {
-        let mut this_level = Vec::new();
-        for &index in &remaining {
-            let gate = &netlist.gates()[index];
-            let ready = gate.kind().is_sequential()
-                || gate
-                    .inputs()
-                    .iter()
-                    .all(|&net| match netlist.net(net).driver() {
-                        NetDriver::PrimaryInput => true,
-                        NetDriver::Gate(driver) => {
-                            netlist.gate(driver).kind().is_sequential()
-                                || gate_level[driver.index()] < current_level
-                        }
-                    });
-            if ready {
-                this_level.push(gate.id());
+/// Each gate's level, from one Kahn pass: a combinational gate waits on
+/// every input pin another combinational gate drives, and takes one more
+/// than the highest level among those drivers.  Registers wait on nothing
+/// and release nothing, so they sit at level 0 and count as sources.
+///
+/// # Errors
+///
+/// [`NetlistError::CombinationalLoop`] naming the lowest-indexed gate left
+/// waiting: one on a register-free cycle or behind one.
+pub(crate) fn gate_levels(netlist: &Netlist) -> Result<Vec<usize>, NetlistError> {
+    let gates = netlist.gates();
+    let is_register = |gate: GateId| gates[gate.index()].kind().is_sequential();
+    let mut waiting: Vec<usize> = gates
+        .iter()
+        .map(|gate| {
+            if gate.kind().is_sequential() {
+                return 0;
+            }
+            gate.inputs()
+                .iter()
+                .filter(|&&net| match netlist.net(net).driver() {
+                    NetDriver::Gate(driver) => !is_register(driver),
+                    NetDriver::PrimaryInput => false,
+                })
+                .count()
+        })
+        .collect();
+    let mut ready: Vec<GateId> = (0..gates.len())
+        .filter(|&index| waiting[index] == 0)
+        .map(GateId::from_usize)
+        .collect();
+    let mut gate_level = vec![0usize; gates.len()];
+    let mut resolved = 0usize;
+    while let Some(gate) = ready.pop() {
+        resolved += 1;
+        if is_register(gate) {
+            continue;
+        }
+        let next = gate_level[gate.index()] + 1;
+        for pin in netlist.net(gates[gate.index()].output()).loads() {
+            let reader = pin.gate();
+            if is_register(reader) {
+                continue;
+            }
+            let r = reader.index();
+            gate_level[r] = gate_level[r].max(next);
+            waiting[r] -= 1;
+            if waiting[r] == 0 {
+                ready.push(reader);
             }
         }
-        if this_level.is_empty() {
-            return Err(NetlistError::CombinationalLoop {
-                gate: netlist.gates()[remaining[0]].name().to_string(),
-            });
-        }
-        for id in &this_level {
-            gate_level[id.index()] = current_level;
-        }
-        remaining.retain(|&index| gate_level[index] == usize::MAX);
-        levels.push(this_level);
-        current_level += 1;
     }
-
-    Ok(Levelization { levels, gate_level })
+    if resolved != gates.len() {
+        let culprit = waiting
+            .iter()
+            .position(|&count| count > 0)
+            .expect("an unresolved gate still waits");
+        return Err(NetlistError::CombinationalLoop {
+            gate: gates[culprit].name().to_string(),
+        });
+    }
+    Ok(gate_level)
 }
 
 #[cfg(test)]

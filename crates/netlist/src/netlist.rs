@@ -9,7 +9,15 @@
 //!
 //! Netlists are created through [`NetlistBuilder`], which checks structural
 //! well-formedness (single driver per net, correct gate arity, no
-//! combinational loops) before releasing the immutable [`Netlist`].
+//! combinational loops, no primary input doubling as an output) before
+//! releasing the immutable [`Netlist`].  The loop check is the
+//! [`levelize`](crate::levelize) pass: one Kahn sort over gates and pins
+//! serves the builder and the compiler.
+//!
+//! Each net's name is stored once, in its [`Net`].  The builder keys a
+//! name map by those strings while it builds and moves each key into its
+//! net in [`build`](NetlistBuilder::build); a finished netlist looks a net
+//! up by name with a scan ([`Netlist::net_id`]), as it does a gate.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -281,7 +289,6 @@ pub struct Netlist {
     pub(crate) nets: Vec<Net>,
     pub(crate) primary_inputs: Vec<NetId>,
     pub(crate) primary_outputs: Vec<NetId>,
-    pub(crate) names: HashMap<String, NetId>,
 }
 
 impl Netlist {
@@ -320,9 +327,12 @@ impl Netlist {
         &self.nets[id.index()]
     }
 
-    /// Looks up a net by name.
+    /// Looks up a net by name, scanning the nets in id order.
     pub fn net_id(&self, name: &str) -> Option<NetId> {
-        self.names.get(name).copied()
+        self.nets
+            .iter()
+            .find(|net| net.name == name)
+            .map(|net| net.id)
     }
 
     /// The primary-input nets, in declaration order.
@@ -410,7 +420,10 @@ const UNDRIVEN: NetDriver = NetDriver::Gate(GateId::new(u32::MAX));
 pub struct NetlistBuilder {
     name: String,
     gates: Vec<Gate>,
+    /// The nets, each with an empty name until [`build`](Self::build)
+    /// moves in its key from `names`.
     nets: Vec<Net>,
+    /// The only copy of every net name while building.
     names: HashMap<String, NetId>,
     primary_inputs: Vec<NetId>,
     primary_outputs: Vec<NetId>,
@@ -439,7 +452,7 @@ impl NetlistBuilder {
         let id = NetId::from_usize(self.nets.len());
         self.nets.push(Net {
             id,
-            name: name.clone(),
+            name: String::new(),
             driver,
             loads: Vec::new(),
             is_primary_output: false,
@@ -490,9 +503,14 @@ impl NetlistBuilder {
         self.primary_inputs.sort_unstable();
     }
 
-    /// `true` when a net with this name exists.
-    pub fn contains_net(&self, name: &str) -> bool {
-        self.names.contains_key(name)
+    /// The name of a net under construction (a scan of the name map, for
+    /// error reports).
+    fn net_name(&self, net: NetId) -> String {
+        self.names
+            .iter()
+            .find(|&(_, &id)| id == net)
+            .map(|(name, _)| name.clone())
+            .unwrap_or_default()
     }
 
     /// Marks a net as a primary output.
@@ -576,14 +594,13 @@ impl NetlistBuilder {
                 provided: inputs.len(),
             });
         }
-        let out_net = &mut self.nets[output.index()];
-        if out_net.driver != UNDRIVEN {
+        if self.nets[output.index()].driver != UNDRIVEN {
             return Err(NetlistError::MultipleDrivers {
-                net: out_net.name.clone(),
+                net: self.net_name(output),
             });
         }
         let id = GateId::from_usize(self.gates.len());
-        out_net.driver = NetDriver::Gate(id);
+        self.nets[output.index()].driver = NetDriver::Gate(id);
         for (index, &input) in inputs.iter().enumerate() {
             self.nets[input.index()]
                 .loads
@@ -604,11 +621,16 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateGate`] when two gates share an
-    /// instance name, [`NetlistError::UndrivenNet`] for nets that are used
-    /// but never driven, and [`NetlistError::CombinationalLoop`] when the
-    /// gate graph is cyclic.
-    pub fn build(self) -> Result<Netlist, NetlistError> {
+    /// Returns, checked in this order, [`NetlistError::DuplicateGate`] when
+    /// two gates share an instance name, [`NetlistError::UndrivenNet`] for
+    /// nets that are used but never driven,
+    /// [`NetlistError::CombinationalLoop`] when the gate graph has a
+    /// register-free cycle, and [`NetlistError::ExposedPrimaryInput`] when a
+    /// primary input is also marked as a primary output.
+    pub fn build(mut self) -> Result<Netlist, NetlistError> {
+        for (name, id) in self.names {
+            self.nets[id.index()].name = name;
+        }
         let mut gate_names = HashSet::with_capacity(self.gates.len());
         if let Some(gate) = self
             .gates
@@ -624,68 +646,24 @@ impl NetlistBuilder {
                 net: net.name.clone(),
             });
         }
-        // Cycle detection: Kahn's algorithm over gate dependencies.
-        // Sequential gates break the graph at both ends — their stored
-        // output does not combinationally depend on their inputs — so
-        // register feedback loops are legal and only register-free cycles
-        // are rejected.
-        let mut in_degree: Vec<usize> = self
-            .gates
-            .iter()
-            .map(|gate| {
-                if gate.kind.is_sequential() {
-                    return 0;
-                }
-                gate.inputs
-                    .iter()
-                    .filter(|&&net| match self.nets[net.index()].driver {
-                        NetDriver::Gate(driver) => !self.gates[driver.index()].kind.is_sequential(),
-                        NetDriver::PrimaryInput => false,
-                    })
-                    .count()
-            })
-            .collect();
-        let mut ready: Vec<usize> = in_degree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(index) = ready.pop() {
-            visited += 1;
-            if self.gates[index].kind.is_sequential() {
-                // A register's fanout edges were never counted above.
-                continue;
-            }
-            let output = self.gates[index].output;
-            for pin in self.nets[output.index()].loads.iter() {
-                let successor = pin.gate().index();
-                if self.gates[successor].kind.is_sequential() {
-                    continue;
-                }
-                in_degree[successor] -= 1;
-                if in_degree[successor] == 0 {
-                    ready.push(successor);
-                }
-            }
-        }
-        if visited != self.gates.len() {
-            let culprit = in_degree
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| self.gates[i].name.clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalLoop { gate: culprit });
-        }
-        Ok(Netlist {
+        let netlist = Netlist {
             name: self.name,
             gates: self.gates,
             nets: self.nets,
             primary_inputs: self.primary_inputs,
             primary_outputs: self.primary_outputs,
-            names: self.names,
-        })
+        };
+        crate::levelize::gate_levels(&netlist)?;
+        if let Some(&net) = netlist
+            .primary_outputs
+            .iter()
+            .find(|&&net| netlist.net(net).is_primary_input())
+        {
+            return Err(NetlistError::ExposedPrimaryInput {
+                net: netlist.net(net).name.clone(),
+            });
+        }
+        Ok(netlist)
     }
 }
 
@@ -873,6 +851,36 @@ mod tests {
     }
 
     #[test]
+    fn exposed_primary_input_is_refused_after_the_other_checks() {
+        let exposed = |with_loop: bool| {
+            let mut builder = NetlistBuilder::new("pass_through");
+            let a = builder.add_input("a");
+            let x = builder.add_net("x");
+            let y = builder.add_net("y");
+            let feedback = if with_loop { y } else { a };
+            builder
+                .add_gate(CellKind::Nand2, "g1", &[a, feedback], x)
+                .unwrap();
+            builder.add_gate(CellKind::Inv, "g2", &[x], y).unwrap();
+            builder.mark_output(a);
+            builder.mark_output(y);
+            builder.build().unwrap_err()
+        };
+        assert_eq!(
+            exposed(false),
+            NetlistError::ExposedPrimaryInput {
+                net: "a".to_string()
+            }
+        );
+        assert_eq!(
+            exposed(true),
+            NetlistError::CombinationalLoop {
+                gate: "g1".to_string()
+            }
+        );
+    }
+
+    #[test]
     fn duplicate_declarations_are_idempotent() {
         let mut builder = NetlistBuilder::new("dup");
         let a1 = builder.add_input("a");
@@ -881,7 +889,6 @@ mod tests {
         let n1 = builder.add_net("n");
         let n2 = builder.add_net("n");
         assert_eq!(n1, n2);
-        assert!(builder.contains_net("a"));
         builder.add_gate(CellKind::Inv, "g", &[a1], n1).unwrap();
         builder.mark_output(n1);
         builder.mark_output(n1); // second call is a no-op

@@ -371,5 +371,18 @@ gate inv g1 a -> n1
             duplicate_gate.to_string(),
             "invalid netlist: duplicate gate name: g"
         );
+        let input_as_output =
+            parse("circuit pt\ninput a b\nwire y\noutput a y\ngate nand2 g a b -> y\n")
+                .unwrap_err();
+        assert_eq!(
+            input_as_output,
+            ParseError::Netlist(NetlistError::ExposedPrimaryInput {
+                net: "a".to_string()
+            })
+        );
+        assert_eq!(
+            input_as_output.to_string(),
+            "invalid netlist: primary input a cannot be exposed as an output"
+        );
     }
 }

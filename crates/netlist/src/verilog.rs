@@ -941,5 +941,18 @@ endmodule
                 name: "g".to_string()
             }))
         );
+        let input_as_output = "\
+module pt(a, b, y);
+  input a, b;
+  output a, y;
+  nand g (y, a, b);
+endmodule
+";
+        assert_eq!(
+            parse_verilog(input_as_output),
+            Err(VerilogError::Netlist(NetlistError::ExposedPrimaryInput {
+                net: "a".to_string()
+            }))
+        );
     }
 }

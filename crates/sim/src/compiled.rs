@@ -160,12 +160,11 @@ pub struct CompiledCircuit<'a> {
     pin_thresholds: Vec<Voltage>,
     /// Timing arcs per dense pin index.
     pin_timing: Vec<PinTiming>,
-    /// Output load per gate.
-    gate_loads: Vec<Capacitance>,
     /// Delay-model dispatch tag per gate (see [`CellClass`]).
     gate_classes: Vec<CellClass>,
     /// Switched capacitance per net (also used by
-    /// [`power::estimate_compiled`](crate::power::estimate_compiled)).
+    /// [`power::estimate_compiled`](crate::power::estimate_compiled)); a
+    /// gate's output load is the row of its output net.
     net_loads: Vec<Capacitance>,
     /// CSR fanout adjacency as per-net windows: net `n` drives the rows
     /// `fanout_start[n] .. fanout_start[n] + fanout_len[n]` of the fanout
@@ -201,8 +200,6 @@ pub struct CompiledCircuit<'a> {
     gate_pin_counts: Vec<u32>,
     /// Output net per gate.
     gate_outputs: Vec<NetId>,
-    /// Primary-output names in netlist declaration order.
-    output_names: Vec<String>,
 }
 
 impl<'a> CompiledCircuit<'a> {
@@ -258,11 +255,6 @@ impl<'a> CompiledCircuit<'a> {
             .iter()
             .map(|net| netlist.net_load(net.id(), library))
             .collect::<Result<_, _>>()?;
-        let gate_loads: Vec<Capacitance> = netlist
-            .gates()
-            .iter()
-            .map(|gate| net_loads[gate.output().index()])
-            .collect();
         let gate_classes: Vec<CellClass> = netlist
             .gates()
             .iter()
@@ -304,19 +296,13 @@ impl<'a> CompiledCircuit<'a> {
 
         let pin_bound: Vec<[BoundArc; 2]> = (0..pins.len())
             .map(|dense| {
-                let load = gate_loads[pin_gate[dense] as usize];
+                let load = net_loads[gate_outputs[pin_gate[dense] as usize].index()];
                 let timing = &pin_timing[dense];
                 [
                     BoundArc::bind(&timing.rise, vdd, load),
                     BoundArc::bind(&timing.fall, vdd, load),
                 ]
             })
-            .collect();
-
-        let output_names = netlist
-            .primary_outputs()
-            .iter()
-            .map(|&net| netlist.net(net).name().to_string())
             .collect();
 
         let levels = levelize::levelize(netlist)?;
@@ -328,7 +314,6 @@ impl<'a> CompiledCircuit<'a> {
             pins,
             pin_thresholds,
             pin_timing,
-            gate_loads,
             gate_classes,
             net_loads,
             fanout_start,
@@ -342,7 +327,6 @@ impl<'a> CompiledCircuit<'a> {
             gate_kinds,
             gate_pin_counts,
             gate_outputs,
-            output_names,
         })
     }
 
@@ -386,7 +370,7 @@ impl<'a> CompiledCircuit<'a> {
     /// The output load one gate drives (its output net's switched
     /// capacitance).
     pub fn gate_load(&self, gate: GateId) -> Capacitance {
-        self.gate_loads[gate.index()]
+        self.net_loads[self.gate_outputs[gate.index()].index()]
     }
 
     /// Allocates a fresh state arena sized for this circuit.
@@ -456,7 +440,7 @@ impl<'a> CompiledCircuit<'a> {
 
     /// Incrementally recompiles after the circuit's netlist was mutated by
     /// an edit session, rebuilding only the dirty fanin/fanout cones the
-    /// [`EditLog`] names: per-gate loads, classes and kinds, per-pin
+    /// [`EditLog`] names: per-gate classes, kinds and outputs, per-pin
     /// thresholds, timing and pre-bound arcs, per-net loads and fanout
     /// windows, and the levelization.  Untouched rows are not rewritten, and
     /// simulation output after the patch is bit-identical to a from-scratch
@@ -492,7 +476,6 @@ impl<'a> CompiledCircuit<'a> {
                         [BoundArc::bind(&PLACEHOLDER_TIMING.rise, self.vdd, Capacitance::ZERO); 2],
                     );
                     self.pin_gate.resize(arena, 0);
-                    self.gate_loads.push(Capacitance::ZERO);
                     self.gate_classes.push(CellClass::default());
                     self.gate_kinds.push(CellKind::Inv);
                     self.gate_pin_counts.push(pin_count as u32);
@@ -510,7 +493,6 @@ impl<'a> CompiledCircuit<'a> {
                     let n = *net_index as usize;
                     self.pins
                         .free_gate(GateId::from_usize(g), self.gate_pin_counts[g] as usize);
-                    self.gate_loads.swap_remove(g);
                     self.gate_classes.swap_remove(g);
                     self.gate_kinds.swap_remove(g);
                     self.gate_pin_counts.swap_remove(g);
@@ -523,8 +505,6 @@ impl<'a> CompiledCircuit<'a> {
                     // gate_outputs, fanout windows) are rebuilt in phase 2:
                     // the session marked everything the move touched dirty.
                 }
-                EditOp::NetExposed { name } => self.output_names.push(name.clone()),
-                EditOp::NetUnexposed { name } => self.output_names.retain(|n| n != name),
             }
         }
 
@@ -544,7 +524,7 @@ impl<'a> CompiledCircuit<'a> {
             self.gate_classes[g] = kind.class();
             self.gate_pin_counts[g] = gate_ref.inputs().len() as u32;
             self.gate_outputs[g] = gate_ref.output();
-            self.gate_loads[g] = self.net_loads[gate_ref.output().index()];
+            let load = self.net_loads[gate_ref.output().index()];
             let block = self.pins.gate_offset(gate);
             for input in 0..gate_ref.inputs().len() {
                 let pin = PinRef::new(gate, input as u32);
@@ -554,8 +534,8 @@ impl<'a> CompiledCircuit<'a> {
                 self.pin_thresholds[dense] = self.vdd.fraction(fraction);
                 self.pin_timing[dense] = self.library.pin(kind, input)?.timing;
                 self.pin_bound[dense] = [
-                    BoundArc::bind(&self.pin_timing[dense].rise, self.vdd, self.gate_loads[g]),
-                    BoundArc::bind(&self.pin_timing[dense].fall, self.vdd, self.gate_loads[g]),
+                    BoundArc::bind(&self.pin_timing[dense].rise, self.vdd, load),
+                    BoundArc::bind(&self.pin_timing[dense].fall, self.vdd, load),
                 ];
             }
         }
@@ -638,11 +618,17 @@ impl<'a> CompiledCircuit<'a> {
         let started = Instant::now();
         let mut recorder = WaveformRecorder::new();
         let stats = self.run_observed(state, stimulus, config, &mut recorder)?;
+        let output_names = self
+            .netlist
+            .primary_outputs()
+            .iter()
+            .map(|&net| self.netlist.net(net).name().to_string())
+            .collect();
         Ok(SimulationResult::new(
             config.model.clone(),
             self.vdd,
             recorder.into_trace(&self.netlist),
-            self.output_names.clone(),
+            output_names,
             stats,
             started.elapsed(),
         ))
@@ -824,7 +810,7 @@ impl<'a> CompiledCircuit<'a> {
                     let arc = self.pin_timing[dense].for_edge(edge);
                     let ctx = DelayContext {
                         vdd: self.vdd,
-                        load: self.gate_loads[gate_index],
+                        load: self.gate_load(GateId::from_usize(gate_index)),
                         input_slew: event.input_slew,
                         time_since_last_output: elapsed,
                         cell_class: self.gate_classes[gate_index],

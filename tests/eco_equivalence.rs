@@ -7,7 +7,8 @@
 //! run path and through a 2-thread batch.
 //!
 //! Each property drives a random edit script (kind swaps, gate inserts,
-//! input rewires, gate removals, net exposures — including scripts whose
+//! input rewires, gate removals, net exposures and un-exposures — including
+//! scripts whose
 //! individual steps are legitimately rejected, e.g. a rewire that would
 //! close a combinational loop) against circuits from three families:
 //! `random_logic`, the ISCAS c17 benchmark, and an 8-bit Kogge–Stone adder.
@@ -26,7 +27,7 @@ use proptest::prelude::*;
 type EditSeed = (u8, u32, u32, u32);
 
 fn edit_script() -> impl Strategy<Value = Vec<EditSeed>> {
-    proptest::collection::vec((0u8..5, any::<u32>(), any::<u32>(), any::<u32>()), 1..10)
+    proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>(), any::<u32>()), 1..10)
 }
 
 /// Interprets one seed against the current netlist, returning the number of
@@ -93,10 +94,16 @@ fn apply_one_edit(
                 }
             }
             // Expose a net; may be rejected when it is a primary input.
-            _ => {
+            4 => {
                 let net = netlist.nets()[a as usize % net_count].id();
                 session.expose_net(net)
             }
+            // Un-expose a primary output, which may free its driver for a
+            // later removal.
+            _ => match netlist.primary_outputs() {
+                [] => Ok(()),
+                outputs => session.unexpose_net(outputs[a as usize % outputs.len()]),
+            },
         }
     });
     match outcome {
@@ -155,6 +162,11 @@ fn assert_identical(context: &str, reference: &SimulationResult, candidate: &Sim
         reference.waveforms().len(),
         candidate.waveforms().len(),
         "{context}: net sets diverge"
+    );
+    assert_eq!(
+        reference.output_names(),
+        candidate.output_names(),
+        "{context}: primary-output lists diverge"
     );
 }
 
@@ -313,10 +325,20 @@ fn scripted_edit_mix_matches_fresh_compile() {
             session.rewire_input(keep, 1, n10)?;
             // Removing `tmp` renumbers `keep` (the last gate) into its slot.
             session.remove_gate(tmp)?;
-            Ok(())
+            // Un-exposing o22 frees its driver for removal.
+            let o22 = session.netlist().net_id("o22").expect("c17 drives o22");
+            session.unexpose_net(o22)?;
+            let g22 = session
+                .netlist()
+                .gates()
+                .iter()
+                .find(|gate| gate.name() == "g22")
+                .expect("c17 has g22")
+                .id();
+            session.remove_gate(g22).map(|_| ())
         })
         .unwrap();
-    assert!(log.edits() >= 5);
+    assert!(log.edits() >= 7);
 
     let mutated = circuit.netlist().clone();
     let fresh = CompiledCircuit::compile(&mutated, &library).unwrap();
@@ -331,6 +353,7 @@ fn scripted_edit_mix_matches_fresh_compile() {
             .unwrap();
         let incremental = circuit.run_with(&mut state, &stimulus, &config).unwrap();
         assert_identical("scripted mix", &reference, &incremental);
+        assert_eq!(incremental.output_names(), ["o23", "keep_out"]);
         let keep_wave = incremental.waveform("keep_out");
         assert!(keep_wave.is_some(), "exposed net must be recorded");
     }

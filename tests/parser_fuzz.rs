@@ -185,9 +185,10 @@ proptest! {
 /// Mutated inputs per reader in the pinned-outcome digests.
 const PINNED_CASES: usize = 1024;
 
-/// `.net` cases that parse, and the digest of all outcomes.
-const NET_PARSED: usize = 32;
-const NET_DIGEST: u64 = 870_490_108_676_227_869;
+/// `.net` cases that parse, and the digest of all outcomes.  One mutated
+/// case lists a primary input as an output and is refused.
+const NET_PARSED: usize = 31;
+const NET_DIGEST: u64 = 5_822_190_944_010_914_684;
 /// Verilog cases that parse, and the digest of all outcomes.
 const VERILOG_PARSED: usize = 21;
 const VERILOG_DIGEST: u64 = 11_578_727_492_216_447_668;
