@@ -22,7 +22,7 @@ use halotis_core::GateId;
 use crate::netlist::{NetDriver, Netlist, NetlistError};
 
 /// The levelization result.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Levelization {
     levels: Vec<Vec<GateId>>,
     gate_level: Vec<usize>,

@@ -210,6 +210,16 @@ pub enum NetlistError {
         /// The offending fraction, as written by `f64`'s `Display`.
         fraction: String,
     },
+    /// An edit named a gate instance the netlist does not have.
+    UnknownGate {
+        /// The name looked up.
+        name: String,
+    },
+    /// An edit named a net the netlist does not have.
+    UnknownNet {
+        /// The name looked up.
+        name: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -255,6 +265,8 @@ impl fmt::Display for NetlistError {
                 f,
                 "gate {gate} pin {pin}: threshold override {fraction} outside (0, 1)"
             ),
+            NetlistError::UnknownGate { name } => write!(f, "no gate named {name:?}"),
+            NetlistError::UnknownNet { name } => write!(f, "no net named {name:?}"),
         }
     }
 }
@@ -325,6 +337,14 @@ impl Netlist {
     /// The net with the given id.
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
+    }
+
+    /// Looks up a gate by instance name, scanning the gates in id order.
+    pub fn gate_id(&self, name: &str) -> Option<GateId> {
+        self.gates
+            .iter()
+            .find(|gate| gate.name == name)
+            .map(|gate| gate.id)
     }
 
     /// Looks up a net by name, scanning the nets in id order.
@@ -711,12 +731,10 @@ mod tests {
     #[test]
     fn pin_net_maps_back_to_input() {
         let netlist = half_adder();
-        let gx = netlist
-            .gates()
-            .iter()
-            .find(|g| g.name() == "gx")
-            .unwrap()
-            .id();
+        let gx = netlist.gate_id("gx").unwrap();
+        assert_eq!(netlist.gate(gx).name(), "gx");
+        assert_eq!(netlist.gate_id("missing"), None);
+        assert_eq!(netlist.net_id("missing"), None);
         let pin = PinRef::new(gx, 1);
         assert_eq!(netlist.pin_net(pin), netlist.net_id("b").unwrap());
     }

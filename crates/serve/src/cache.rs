@@ -25,8 +25,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use halotis_netlist::{parser, technology, verilog, writer, Library, Netlist, NetlistError};
-use halotis_sim::CompiledCircuit;
+use halotis_core::{GateId, NetId};
+use halotis_netlist::{
+    parser, technology, verilog, writer, EditSession, Library, Netlist, NetlistError,
+};
+use halotis_sim::{CompiledCircuit, SimulationError};
 
 use crate::protocol::{EditCommand, ErrorCode, NetlistFormat, ProtocolError};
 
@@ -161,113 +164,79 @@ fn apply_script(
     circuit: &mut CompiledCircuit<'static>,
     commands: &[EditCommand],
 ) -> Result<usize, ProtocolError> {
-    let mut failure: Option<ProtocolError> = None;
-    let result = circuit.edit(|session| {
-        for command in commands {
-            if let Some(error) = apply_command(session, command) {
-                return match error {
-                    CommandError::Netlist(err) => Err(err),
-                    CommandError::Protocol(err) => {
-                        failure = Some(err);
-                        // Sentinel to abort the session; the caller discards
-                        // the circuit, so it never escapes.
-                        Err(NetlistError::DuplicateNet {
-                            name: String::new(),
-                        })
-                    }
-                };
+    circuit
+        .edit(|session| {
+            commands
+                .iter()
+                .try_for_each(|command| apply_command(session, command))
+        })
+        .map(|log| log.edits())
+        .map_err(|err| match err {
+            SimulationError::Netlist(err @ NetlistError::UnknownGate { .. }) => {
+                ProtocolError::new(ErrorCode::UnknownGate, err.to_string())
             }
-        }
-        Ok(())
-    });
-    match result {
-        Ok(log) => Ok(log.edits()),
-        Err(err) => {
-            Err(failure
-                .unwrap_or_else(|| ProtocolError::new(ErrorCode::NetlistError, err.to_string())))
-        }
-    }
-}
-
-enum CommandError {
-    Netlist(NetlistError),
-    Protocol(ProtocolError),
-}
-
-fn resolve_gate(netlist: &Netlist, name: &str) -> Result<halotis_core::GateId, CommandError> {
-    netlist
-        .gates()
-        .iter()
-        .find(|gate| gate.name() == name)
-        .map(|gate| gate.id())
-        .ok_or_else(|| {
-            CommandError::Protocol(ProtocolError::new(
-                ErrorCode::UnknownGate,
-                format!("no gate named {name:?}"),
-            ))
+            SimulationError::Netlist(err @ NetlistError::UnknownNet { .. }) => {
+                ProtocolError::new(ErrorCode::UnknownNet, err.to_string())
+            }
+            err => ProtocolError::new(ErrorCode::NetlistError, err.to_string()),
         })
 }
 
-fn resolve_net(netlist: &Netlist, name: &str) -> Result<halotis_core::NetId, CommandError> {
-    netlist.net_id(name).ok_or_else(|| {
-        CommandError::Protocol(ProtocolError::new(
-            ErrorCode::UnknownNet,
-            format!("no net named {name:?}"),
-        ))
-    })
+fn gate_id(netlist: &Netlist, name: &str) -> Result<GateId, NetlistError> {
+    netlist
+        .gate_id(name)
+        .ok_or_else(|| NetlistError::UnknownGate {
+            name: name.to_string(),
+        })
 }
 
-/// Applies one command inside an open session; `None` means success.
-/// (Inverted-Option shape so the caller can keep the borrow checker happy
-/// while smuggling protocol errors out of the [`CompiledCircuit::edit`]
-/// closure.)
-fn apply_command(
-    session: &mut halotis_netlist::EditSession<'_>,
-    command: &EditCommand,
-) -> Option<CommandError> {
-    let result = match command {
+fn net_id(netlist: &Netlist, name: &str) -> Result<NetId, NetlistError> {
+    netlist
+        .net_id(name)
+        .ok_or_else(|| NetlistError::UnknownNet {
+            name: name.to_string(),
+        })
+}
+
+/// Applies one command inside an open session.
+fn apply_command(session: &mut EditSession<'_>, command: &EditCommand) -> Result<(), NetlistError> {
+    match command {
         EditCommand::SwapKind { gate, kind } => {
-            resolve_gate(session.netlist(), gate).and_then(|gate| {
-                session
-                    .swap_cell_kind(gate, *kind)
-                    .map_err(CommandError::Netlist)
-            })
+            let gate = gate_id(session.netlist(), gate)?;
+            session.swap_cell_kind(gate, *kind)
         }
         EditCommand::Rewire { gate, input, net } => {
-            resolve_gate(session.netlist(), gate).and_then(|gate_id| {
-                let net_id = resolve_net(session.netlist(), net)?;
-                session
-                    .rewire_input(gate_id, *input, net_id)
-                    .map_err(CommandError::Netlist)
-            })
+            let gate = gate_id(session.netlist(), gate)?;
+            let net = net_id(session.netlist(), net)?;
+            session.rewire_input(gate, *input, net)
         }
         EditCommand::Insert {
             kind,
             name,
             inputs,
             output,
-        } => inputs
-            .iter()
-            .map(|input| resolve_net(session.netlist(), input))
-            .collect::<Result<Vec<_>, _>>()
-            .and_then(|inputs| {
-                session
-                    .insert_gate(*kind, name.clone(), &inputs, output.clone())
-                    .map(|_| ())
-                    .map_err(CommandError::Netlist)
-            }),
-        EditCommand::Remove { gate } => resolve_gate(session.netlist(), gate).and_then(|gate| {
+        } => {
+            let inputs = inputs
+                .iter()
+                .map(|input| net_id(session.netlist(), input))
+                .collect::<Result<Vec<_>, _>>()?;
             session
-                .remove_gate(gate)
+                .insert_gate(*kind, name.clone(), &inputs, output.clone())
                 .map(|_| ())
-                .map_err(CommandError::Netlist)
-        }),
-        EditCommand::Expose { net } => resolve_net(session.netlist(), net)
-            .and_then(|net| session.expose_net(net).map_err(CommandError::Netlist)),
-        EditCommand::Unexpose { net } => resolve_net(session.netlist(), net)
-            .and_then(|net| session.unexpose_net(net).map_err(CommandError::Netlist)),
-    };
-    result.err()
+        }
+        EditCommand::Remove { gate } => {
+            let gate = gate_id(session.netlist(), gate)?;
+            session.remove_gate(gate).map(|_| ())
+        }
+        EditCommand::Expose { net } => {
+            let net = net_id(session.netlist(), net)?;
+            session.expose_net(net)
+        }
+        EditCommand::Unexpose { net } => {
+            let net = net_id(session.netlist(), net)?;
+            session.unexpose_net(net)
+        }
+    }
 }
 
 /// One cached circuit.

@@ -348,6 +348,7 @@ pub fn check_entries_against_golden(
                     "output_transitions",
                     "degraded_transitions",
                     "collapsed_transitions",
+                    "queue_high_water",
                     "glitch_pulses",
                 ] {
                     let got = expect_u64(row, field, &label)?;

@@ -36,10 +36,14 @@
 //! timing arcs) are indexed by the dense pin index of
 //! [`PinMap`], and the fanout adjacency of every net is
 //! flattened into one `Vec` with a per-net offset array, so the hot loop of
-//! the engine only chases one level of indirection.  The circuit also keeps
-//! its netlist's levelization, patched in place by edits: run
-//! initialisation evaluates in that order, and the static-timing pass
-//! ([`sta`](crate::sta)) walks it to bound every net's arrival.
+//! the engine only chases one level of indirection.  Every row is derived
+//! by one routine: [`compile`](CompiledCircuit::compile) sizes the tables
+//! and runs it over every net and gate, and
+//! [`apply_edits`](CompiledCircuit::apply_edits) runs it over the rows an
+//! edit dirtied.  The circuit also keeps its netlist's levelization,
+//! patched in place by edits: run initialisation evaluates in that order,
+//! and the static-timing pass ([`sta`](crate::sta)) walks it to bound every
+//! net's arrival.
 //!
 //! # Example: one compile, many runs
 //!
@@ -93,9 +97,10 @@ use crate::stats::SimulationStats;
 /// are within `[0, 1]`).
 const NEVER_CROSSED: f64 = -1.0;
 
-/// Zeroed timing arc used to fill freshly allocated pin rows during edit
-/// replay, before the dirty-cone rebuild overwrites them with library data.
-/// Never evaluated: a row carrying it belongs to a gate in the dirty set.
+/// Zeroed timing arc that fills new pin rows until
+/// [`CompiledCircuit::refresh`] derives them from the library.  Never
+/// evaluated: compile refreshes every row, and an edit refreshes the rows of
+/// every gate it appends.
 const PLACEHOLDER_TIMING: PinTiming = {
     const EDGE: halotis_delay::EdgeTiming = halotis_delay::EdgeTiming {
         propagation: halotis_delay::PropagationCoeffs {
@@ -228,106 +233,56 @@ impl<'a> CompiledCircuit<'a> {
         Self::compile_cow(Cow::Owned(netlist), library)
     }
 
-    /// The shared compile body: builds every flat table from the borrowed
-    /// view, then moves the `Cow` into the finished circuit.
+    /// The shared compile body: sizes every table with placeholder rows
+    /// (each net's fanout window packed at its exact length, in net order),
+    /// derives every row with [`refresh`](Self::refresh), the routine edits
+    /// use, then levelizes.
     fn compile_cow(
         source: Cow<'a, Netlist>,
         library: &'a Library,
     ) -> Result<Self, SimulationError> {
-        let netlist: &Netlist = source.as_ref();
-        let vdd = library.vdd();
-        let pins = PinMap::new(netlist);
-
-        let mut pin_thresholds: Vec<Voltage> = vec![Voltage::ZERO; pins.len()];
-        let mut pin_timing: Vec<PinTiming> = Vec::with_capacity(pins.len());
-        for gate in netlist.gates() {
-            for input in 0..gate.inputs().len() {
-                let pin = PinRef::new(gate.id(), input as u32);
-                let dense = pins.index(pin);
-                let fraction = netlist.input_threshold_fraction(pin, library)?;
-                pin_thresholds[dense] = vdd.fraction(fraction);
-                pin_timing.push(library.pin(gate.kind(), input)?.timing);
-            }
-        }
-
-        let net_loads: Vec<Capacitance> = netlist
-            .nets()
-            .iter()
-            .map(|net| netlist.net_load(net.id(), library))
-            .collect::<Result<_, _>>()?;
-        let gate_classes: Vec<CellClass> = netlist
-            .gates()
-            .iter()
-            .map(|gate| gate.kind().class())
-            .collect();
-
-        let mut fanout_start = Vec::with_capacity(netlist.net_count());
-        let mut fanout_len = Vec::with_capacity(netlist.net_count());
-        let mut fanout_cap = Vec::with_capacity(netlist.net_count());
-        let mut fanout_pins = Vec::new();
-        let mut fanout_dense = Vec::new();
-        let mut fanout_progress = Vec::new();
-        for net in netlist.nets() {
-            fanout_start.push(u32::try_from(fanout_pins.len()).expect("fanout rows fit u32"));
-            let rows = u32::try_from(net.loads().len()).expect("fanout rows fit u32");
-            fanout_len.push(rows);
-            fanout_cap.push(rows);
-            for &pin in net.loads() {
-                let dense = pins.index(pin);
-                fanout_pins.push(pin);
-                fanout_dense.push(u32::try_from(dense).expect("pin count fits u32"));
-                fanout_progress.push(crossing_progress(pin_thresholds[dense], vdd));
-            }
-        }
-
-        let mut pin_gate = vec![0u32; pins.len()];
-        let mut gate_kinds = Vec::with_capacity(netlist.gate_count());
-        let mut gate_pin_counts = Vec::with_capacity(netlist.gate_count());
-        let mut gate_outputs = Vec::with_capacity(netlist.gate_count());
-        for gate in netlist.gates() {
-            let block = pins.gate_offset(gate.id());
-            for slot in &mut pin_gate[block..block + gate.inputs().len()] {
-                *slot = u32::try_from(gate.id().index()).expect("gate count fits u32");
-            }
-            gate_kinds.push(gate.kind());
-            gate_pin_counts.push(gate.inputs().len() as u32);
-            gate_outputs.push(gate.output());
-        }
-
-        let pin_bound: Vec<[BoundArc; 2]> = (0..pins.len())
-            .map(|dense| {
-                let load = net_loads[gate_outputs[pin_gate[dense] as usize].index()];
-                let timing = &pin_timing[dense];
-                [
-                    BoundArc::bind(&timing.rise, vdd, load),
-                    BoundArc::bind(&timing.fall, vdd, load),
-                ]
-            })
-            .collect();
-
-        let levels = levelize::levelize(netlist)?;
-        Ok(CompiledCircuit {
-            levels,
+        let (gates, nets) = (source.gate_count(), source.net_count());
+        let mut circuit = CompiledCircuit {
+            pins: PinMap::new(&source),
             netlist: source,
             library,
-            vdd,
-            pins,
-            pin_thresholds,
-            pin_timing,
-            gate_classes,
-            net_loads,
-            fanout_start,
-            fanout_len,
-            fanout_cap,
-            fanout_pins,
-            fanout_dense,
-            fanout_progress,
-            pin_gate,
-            pin_bound,
-            gate_kinds,
-            gate_pin_counts,
-            gate_outputs,
-        })
+            vdd: library.vdd(),
+            levels: Levelization::default(),
+            pin_thresholds: Vec::new(),
+            pin_timing: Vec::new(),
+            gate_classes: Vec::new(),
+            net_loads: Vec::new(),
+            fanout_start: Vec::new(),
+            fanout_len: Vec::new(),
+            fanout_cap: Vec::new(),
+            fanout_pins: Vec::new(),
+            fanout_dense: Vec::new(),
+            fanout_progress: Vec::new(),
+            pin_gate: Vec::new(),
+            pin_bound: Vec::new(),
+            gate_kinds: Vec::new(),
+            gate_pin_counts: Vec::new(),
+            gate_outputs: Vec::new(),
+        };
+        circuit.grow_rows(gates, nets);
+        let mut rows = 0;
+        for (n, net) in circuit.netlist.nets().iter().enumerate() {
+            circuit.fanout_start[n] = u32::try_from(rows).expect("fanout rows fit u32");
+            circuit.fanout_cap[n] = u32::try_from(net.loads().len()).expect("fanout rows fit u32");
+            rows += net.loads().len();
+        }
+        circuit.grow_fanout(rows);
+        circuit.refresh(
+            (0..nets).map(NetId::from_usize),
+            (0..gates).map(GateId::from_usize),
+        )?;
+        // Levelized last, after the tables are allocated.  Levelized first,
+        // a drop-and-recompile of c880 ran about a third slower, and at the
+        // same speed with glibc's heap trimming switched off: the order
+        // decides whether a dropped circuit's table pages go back to the
+        // kernel and fault in again on the next compile.
+        circuit.levels = levelize::levelize(&circuit.netlist)?;
+        Ok(circuit)
     }
 
     /// The compiled netlist.  After an [`edit`](CompiledCircuit::edit) this
@@ -442,9 +397,11 @@ impl<'a> CompiledCircuit<'a> {
     /// an edit session, rebuilding only the dirty fanin/fanout cones the
     /// [`EditLog`] names: per-gate classes, kinds and outputs, per-pin
     /// thresholds, timing and pre-bound arcs, per-net loads and fanout
-    /// windows, and the levelization.  Untouched rows are not rewritten, and
+    /// windows, and the levelization.  Untouched rows are not rewritten.
+    /// The dirty rows are derived by the same routine
+    /// [`compile`](CompiledCircuit::compile) runs over every row, so
     /// simulation output after the patch is bit-identical to a from-scratch
-    /// [`compile`](CompiledCircuit::compile) of the mutated netlist.
+    /// compile of the mutated netlist.
     ///
     /// The netlist held by `self` must already carry exactly the mutations
     /// `log` describes (which [`edit`](CompiledCircuit::edit) guarantees).
@@ -466,24 +423,11 @@ impl<'a> CompiledCircuit<'a> {
         for op in log.ops() {
             match op {
                 EditOp::GateAppended { pin_count } => {
-                    let pin_count = *pin_count as usize;
-                    self.pins.allocate_gate(pin_count);
-                    let arena = self.pins.len();
-                    self.pin_thresholds.resize(arena, Voltage::ZERO);
-                    self.pin_timing.resize(arena, PLACEHOLDER_TIMING);
-                    self.pin_bound.resize(
-                        arena,
-                        [BoundArc::bind(&PLACEHOLDER_TIMING.rise, self.vdd, Capacitance::ZERO); 2],
-                    );
-                    self.pin_gate.resize(arena, 0);
-                    self.gate_classes.push(CellClass::default());
-                    self.gate_kinds.push(CellKind::Inv);
-                    self.gate_pin_counts.push(pin_count as u32);
-                    self.gate_outputs.push(NetId::new(0));
-                    self.net_loads.push(Capacitance::ZERO);
-                    self.fanout_start.push(0);
-                    self.fanout_len.push(0);
-                    self.fanout_cap.push(0);
+                    // The pin count is set before the sizing step: a later
+                    // `GateRemoved` in the same log frees the block by it.
+                    self.pins.allocate_gate(*pin_count as usize);
+                    self.gate_pin_counts.push(*pin_count);
+                    self.grow_rows(self.gate_pin_counts.len(), self.net_loads.len() + 1);
                 }
                 EditOp::GateRemoved {
                     gate_index,
@@ -509,14 +453,69 @@ impl<'a> CompiledCircuit<'a> {
         }
 
         // --- phase 2: rebuild the dirty cones ------------------------------
+        self.refresh(
+            log.dirty_nets().iter().copied(),
+            log.dirty_gates().iter().copied(),
+        )?;
+        self.levels.update(&self.netlist, log)?;
+        Ok(())
+    }
+
+    /// Grows the gate rows to `gates`, the net rows to `nets` (each new net
+    /// with an empty fanout window) and the pin rows to the pin map's arena,
+    /// filling new rows with placeholders that [`refresh`](Self::refresh)
+    /// derives before any run reads them.
+    fn grow_rows(&mut self, gates: usize, nets: usize) {
+        let arena = self.pins.len();
+        self.pin_thresholds.resize(arena, Voltage::ZERO);
+        self.pin_timing.resize(arena, PLACEHOLDER_TIMING);
+        self.pin_bound.resize(
+            arena,
+            [BoundArc::bind(&PLACEHOLDER_TIMING.rise, self.vdd, Capacitance::ZERO); 2],
+        );
+        self.pin_gate.resize(arena, 0);
+        self.gate_classes.resize(gates, CellClass::default());
+        self.gate_kinds.resize(gates, CellKind::Inv);
+        self.gate_pin_counts.resize(gates, 0);
+        self.gate_outputs.resize(gates, NetId::new(0));
+        self.net_loads.resize(nets, Capacitance::ZERO);
+        self.fanout_start.resize(nets, 0);
+        self.fanout_len.resize(nets, 0);
+        self.fanout_cap.resize(nets, 0);
+    }
+
+    /// Appends `rows` placeholder rows to the fanout columns and returns the
+    /// first one's index.
+    fn grow_fanout(&mut self, rows: usize) -> u32 {
+        let start = self.fanout_pins.len();
+        let grown = start + rows;
+        self.fanout_pins
+            .resize(grown, PinRef::new(GateId::new(0), 0));
+        self.fanout_dense.resize(grown, 0);
+        self.fanout_progress.resize(grown, [NEVER_CROSSED; 2]);
+        u32::try_from(start).expect("fanout rows fit u32")
+    }
+
+    /// Derives the rows of `nets` and `gates` from the netlist: the one
+    /// definition of every table row, run over the whole circuit by
+    /// [`compile`](Self::compile) and over the dirty cones by
+    /// [`apply_edits`](Self::apply_edits).  Every named row must exist
+    /// (placeholders included), and `gates` must include the driver of
+    /// every net in `nets` whose load changed: a gate's bound arcs fold in
+    /// its output load.
+    fn refresh(
+        &mut self,
+        nets: impl Iterator<Item = NetId> + Clone,
+        gates: impl Iterator<Item = GateId> + Clone,
+    ) -> Result<(), SimulationError> {
         let netlist: &Netlist = &self.netlist;
-        // (a) per-net switched capacitance — before the gate pass, which
-        // folds these loads into the pre-bound arcs.
-        for &net in log.dirty_nets() {
+        // (a) per-net switched capacitance — before pass (c), which folds
+        // these loads into the pre-bound arcs.
+        for net in nets.clone() {
             self.net_loads[net.index()] = netlist.net_load(net, self.library)?;
         }
         // (b) per-gate rows and their pin blocks.
-        for &gate in log.dirty_gates() {
+        for gate in gates.clone() {
             let g = gate.index();
             let gate_ref = netlist.gate(gate);
             let kind = gate_ref.kind();
@@ -524,7 +523,6 @@ impl<'a> CompiledCircuit<'a> {
             self.gate_classes[g] = kind.class();
             self.gate_pin_counts[g] = gate_ref.inputs().len() as u32;
             self.gate_outputs[g] = gate_ref.output();
-            let load = self.net_loads[gate_ref.output().index()];
             let block = self.pins.gate_offset(gate);
             for input in 0..gate_ref.inputs().len() {
                 let pin = PinRef::new(gate, input as u32);
@@ -533,34 +531,38 @@ impl<'a> CompiledCircuit<'a> {
                 let fraction = netlist.input_threshold_fraction(pin, self.library)?;
                 self.pin_thresholds[dense] = self.vdd.fraction(fraction);
                 self.pin_timing[dense] = self.library.pin(kind, input)?.timing;
+            }
+        }
+        // (c) the pins' pre-bound arcs, with the loads of (a) folded in.  A
+        // pass of its own: fused into (b)'s loop, the same binding made a
+        // compile of the corpus circuits about 8% slower.
+        for gate in gates {
+            let load = self.gate_load(gate);
+            let block = self.pins.gate_offset(gate);
+            for dense in block..block + self.gate_pin_counts[gate.index()] as usize {
+                let timing = &self.pin_timing[dense];
                 self.pin_bound[dense] = [
-                    BoundArc::bind(&self.pin_timing[dense].rise, self.vdd, load),
-                    BoundArc::bind(&self.pin_timing[dense].fall, self.vdd, load),
+                    BoundArc::bind(&timing.rise, self.vdd, load),
+                    BoundArc::bind(&timing.fall, self.vdd, load),
                 ];
             }
         }
-        // (c) per-net fanout windows — after the gate pass so the crossing
-        // progress reads rebuilt thresholds.  In-place rewrite while the
+        // (d) per-net fanout windows — after the gate pass so the crossing
+        // progress reads derived thresholds.  In-place rewrite while the
         // window fits; relocate to the end of the arena with pow2 headroom
         // when it does not (the old rows become dead).
-        for &net in log.dirty_nets() {
+        for net in nets {
             let n = net.index();
-            let loads = netlist.net(net).loads();
-            let rows = u32::try_from(loads.len()).expect("fanout rows fit u32");
+            let rows =
+                u32::try_from(self.netlist.net(net).loads().len()).expect("fanout rows fit u32");
             if rows > self.fanout_cap[n] {
                 let cap = rows.next_power_of_two().max(2);
-                self.fanout_start[n] =
-                    u32::try_from(self.fanout_pins.len()).expect("fanout rows fit u32");
+                self.fanout_start[n] = self.grow_fanout(cap as usize);
                 self.fanout_cap[n] = cap;
-                let grown = self.fanout_pins.len() + cap as usize;
-                self.fanout_pins
-                    .resize(grown, PinRef::new(GateId::new(0), 0));
-                self.fanout_dense.resize(grown, 0);
-                self.fanout_progress.resize(grown, [NEVER_CROSSED; 2]);
             }
             self.fanout_len[n] = rows;
             let start = self.fanout_start[n] as usize;
-            for (row, &pin) in loads.iter().enumerate() {
+            for (row, &pin) in self.netlist.net(net).loads().iter().enumerate() {
                 let dense = self.pins.index(pin);
                 self.fanout_pins[start + row] = pin;
                 self.fanout_dense[start + row] = u32::try_from(dense).expect("pin count fits u32");
@@ -568,8 +570,6 @@ impl<'a> CompiledCircuit<'a> {
                     crossing_progress(self.pin_thresholds[dense], self.vdd);
             }
         }
-        // (d) incremental re-levelization of the affected cones.
-        self.levels.update(netlist, log)?;
         Ok(())
     }
 
@@ -932,43 +932,124 @@ mod tests {
         stimulus
     }
 
-    #[test]
-    fn fanout_tables_cover_every_load_in_declaration_order() {
-        let netlist = generators::c17();
-        let library = technology::cmos06();
-        let circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+    /// Checks every row of the circuit's tables against its netlist: each
+    /// net's load and fanout window (the net's loads in declaration order,
+    /// with dense indices and crossing progress), and each gate's row and
+    /// pin block.
+    fn assert_tables_match_netlist(circuit: &CompiledCircuit<'_>) {
+        let netlist = circuit.netlist();
+        let library = circuit.library();
+        let vdd = circuit.vdd();
+        let ramp = Transition::new(Time::from_ns(1.0), TimeDelta::from_ps(400.0), Edge::Rise);
+        assert_eq!(circuit.net_loads().len(), netlist.net_count());
         for net in netlist.nets() {
-            let rows = circuit.net_fanout_rows(net.id().index());
-            assert_eq!(rows.len(), net.loads().len());
+            let n = net.id().index();
+            assert_eq!(
+                circuit.net_loads[n],
+                netlist.net_load(net.id(), library).unwrap()
+            );
+            let rows = circuit.net_fanout_rows(n);
+            assert_eq!(rows.len(), net.loads().len(), "net {}", net.name());
+            assert!(rows.len() <= circuit.fanout_cap[n] as usize);
             for (row, &pin) in rows.zip(net.loads()) {
+                let dense = circuit.pins().index(pin);
                 assert_eq!(circuit.fanout_pins[row], pin);
-                assert_eq!(
-                    circuit.fanout_dense[row] as usize,
-                    circuit.pins().index(pin)
-                );
-                let threshold = circuit.pin_thresholds[circuit.pins().index(pin)];
+                assert_eq!(circuit.fanout_dense[row] as usize, dense);
+                let threshold = circuit.pin_thresholds[dense];
                 assert_eq!(
                     circuit.fanout_progress[row],
-                    crossing_progress(threshold, circuit.vdd())
+                    crossing_progress(threshold, vdd)
                 );
                 // The precomputed progress reproduces the on-the-fly
                 // crossing computation bit-exactly.
-                let ramp = Transition::new(
-                    halotis_core::Time::from_ns(1.0),
-                    TimeDelta::from_ps(400.0),
-                    Edge::Rise,
-                );
                 assert_eq!(
-                    ramp.crossing_time(threshold, circuit.vdd()),
+                    ramp.crossing_time(threshold, vdd),
                     (circuit.fanout_progress[row][0] >= 0.0)
                         .then(|| ramp.start() + ramp.slew().scale(circuit.fanout_progress[row][0])),
                 );
             }
         }
-        assert_eq!(circuit.net_loads().len(), netlist.net_count());
-        assert_eq!(circuit.vdd(), library.vdd());
-        assert_eq!(circuit.netlist().name(), netlist.name());
-        assert_eq!(circuit.library().name(), library.name());
+        for gate in netlist.gates() {
+            let g = gate.id().index();
+            assert_eq!(circuit.gate_kinds[g], gate.kind());
+            assert_eq!(circuit.gate_classes[g], gate.kind().class());
+            assert_eq!(circuit.gate_pin_counts[g] as usize, gate.inputs().len());
+            assert_eq!(circuit.gate_outputs[g], gate.output());
+            let load = circuit.gate_load(gate.id());
+            for input in 0..gate.inputs().len() {
+                let pin = PinRef::new(gate.id(), input as u32);
+                let dense = circuit.pins().index(pin);
+                assert_eq!(circuit.pin_gate[dense] as usize, g);
+                let fraction = netlist.input_threshold_fraction(pin, library).unwrap();
+                assert_eq!(circuit.pin_thresholds[dense], vdd.fraction(fraction));
+                let timing = library.pin(gate.kind(), input).unwrap().timing;
+                assert_eq!(circuit.pin_timing[dense], timing);
+                // `BoundArc` has no `PartialEq`; its `Debug` prints every
+                // field, floats as their shortest round-trip form.
+                assert_eq!(
+                    format!("{:?}", circuit.pin_bound[dense]),
+                    format!(
+                        "{:?}",
+                        [
+                            BoundArc::bind(&timing.rise, vdd, load),
+                            BoundArc::bind(&timing.fall, vdd, load),
+                        ]
+                    ),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fanout_tables_cover_every_load_in_declaration_order() {
+        let library = technology::cmos06();
+        for entry in halotis_corpus::standard_corpus() {
+            let circuit = CompiledCircuit::compile(&entry.netlist, &library).unwrap();
+            assert_tables_match_netlist(&circuit);
+            // A fresh compile packs the windows at their exact lengths, in
+            // net order: window `n + 1` starts where window `n` ends.
+            let mut end = 0;
+            for n in 0..entry.netlist.net_count() {
+                assert_eq!(circuit.fanout_start[n], end, "{}: net {n}", entry.name);
+                assert_eq!(circuit.fanout_cap[n], circuit.fanout_len[n]);
+                end += circuit.fanout_len[n];
+            }
+            assert_eq!(circuit.fanout_pins.len(), end as usize);
+            assert_eq!(circuit.vdd(), library.vdd());
+            assert_eq!(circuit.netlist().name(), entry.netlist.name());
+            assert_eq!(circuit.library().name(), library.name());
+        }
+    }
+
+    #[test]
+    fn edited_fanout_tables_cover_every_load_in_declaration_order() {
+        let netlist = generators::c17();
+        let library = technology::cmos06();
+        let mut circuit = CompiledCircuit::compile(&netlist, &library).unwrap();
+        let packed_rows = circuit.fanout_pins.len() as u32;
+        let id = |name: &str| netlist.net_id(name).unwrap();
+        let gate = |name: &str| netlist.gate_id(name).unwrap();
+        let i1 = id("i1");
+        assert_eq!(circuit.fanout_cap[i1.index()], 1);
+        circuit
+            .edit(|session| {
+                // The inserted inverter and two rewired pins give `i1`
+                // four loads, which outgrow its packed one-row window.
+                session.insert_gate(CellKind::Inv, "eco", &[i1], "eco_out")?;
+                session.rewire_input(gate("g22"), 0, i1)?;
+                session.rewire_input(gate("g23"), 1, i1)?;
+                // `g10` now drives nothing.  Removing it takes its `i1` pin
+                // with it and moves the appended gate and net into its slots.
+                session.remove_gate(gate("g10")).map(|_| ())
+            })
+            .unwrap();
+        assert_tables_match_netlist(&circuit);
+        let edited = circuit.netlist();
+        assert_eq!(edited.gate_id("eco"), Some(GateId::new(0)));
+        assert_eq!(edited.gate_id("g10"), None);
+        assert_eq!(edited.net(i1).loads().len(), 3);
+        assert_eq!(circuit.fanout_cap[i1.index()], 4);
+        assert!(circuit.fanout_start[i1.index()] >= packed_rows);
     }
 
     #[test]

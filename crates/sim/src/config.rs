@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use halotis_core::{Time, TimeDelta};
+use halotis_core::Time;
 use halotis_delay::{DelayModelHandle, DelayModelKind};
 
 /// Knobs controlling one simulation run.
@@ -20,7 +20,7 @@ use halotis_delay::{DelayModelHandle, DelayModelKind};
 /// let config = SimulationConfig::ddm();
 /// assert_eq!(config.model, DelayModelKind::Degradation);
 ///
-/// let cdm = SimulationConfig::cdm().with_settle_margin_ns(10.0);
+/// let cdm = SimulationConfig::cdm();
 /// assert_eq!(cdm.model, DelayModelKind::Conventional);
 ///
 /// // Any `DelayModel` implementation plugs in through the same knob.
@@ -44,9 +44,6 @@ pub struct SimulationConfig {
     ///
     /// [`SimulationError::EventBudgetExhausted`]: crate::SimulationError::EventBudgetExhausted
     pub max_events: usize,
-    /// Extra quiet time appended after the last stimulus edge when deriving
-    /// the default observation window.
-    pub settle_margin: TimeDelta,
 }
 
 impl SimulationConfig {
@@ -70,12 +67,6 @@ impl SimulationConfig {
         self
     }
 
-    /// Replaces the settle margin (given in nanoseconds).
-    pub fn with_settle_margin_ns(mut self, margin_ns: f64) -> Self {
-        self.settle_margin = TimeDelta::from_ns(margin_ns);
-        self
-    }
-
     /// Replaces the event budget.
     pub fn with_max_events(mut self, max_events: usize) -> Self {
         self.max_events = max_events;
@@ -95,7 +86,6 @@ impl Default for SimulationConfig {
             model: DelayModelHandle::default(),
             time_limit: None,
             max_events: 10_000_000,
-            settle_margin: TimeDelta::from_ns(5.0),
         }
     }
 }
@@ -128,10 +118,8 @@ mod tests {
     #[test]
     fn builder_style_updates() {
         let config = SimulationConfig::ddm()
-            .with_settle_margin_ns(2.5)
             .with_max_events(100)
             .with_time_limit(Time::from_ns(50.0));
-        assert_eq!(config.settle_margin, TimeDelta::from_ns(2.5));
         assert_eq!(config.max_events, 100);
         assert_eq!(config.time_limit, Some(Time::from_ns(50.0)));
         // Combinators preserve the model.

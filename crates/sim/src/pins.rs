@@ -35,19 +35,17 @@ pub struct PinMap {
 }
 
 impl PinMap {
-    /// Builds the pin map of a netlist.
+    /// Builds the pin map of a netlist: one block per gate, in gate order.
     pub fn new(netlist: &Netlist) -> Self {
-        let mut offsets = Vec::with_capacity(netlist.gate_count());
-        let mut total = 0usize;
-        for gate in netlist.gates() {
-            offsets.push(total);
-            total += gate.inputs().len();
-        }
-        PinMap {
-            offsets,
-            total,
+        let mut pins = PinMap {
+            offsets: Vec::with_capacity(netlist.gate_count()),
+            total: 0,
             free: Vec::new(),
+        };
+        for gate in netlist.gates() {
+            pins.allocate_gate(gate.inputs().len());
         }
+        pins
     }
 
     /// The pin arena size: every dense index is `< len()`.  After edits this
