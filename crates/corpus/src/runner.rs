@@ -7,16 +7,17 @@
 //! daemon runs too — [`PowerAccumulator`](halotis_sim::PowerAccumulator) +
 //! [`GlitchProfile`](crate::GlitchProfile) — plus a [`WallClockProbe`], so
 //! no waveform is ever allocated, exactly the configuration the paper's
-//! Table 1 statistics use.  The hotspot ranking folds each scenario's
-//! per-net energy by net index and names the nets once per entry.  The
-//! per-entry batch can be repeated to collect timing samples for the
-//! criterion-style capture the perf gate consumes.
+//! Table 1 statistics use.  Each entry's scenarios fold their per-net
+//! energy by net index into the report; the hotspot ranking names and sorts
+//! those nets only when asked ([`CorpusReport::hotspots`]).  The per-entry
+//! batch can be repeated to collect timing samples for the criterion-style
+//! capture the perf gate consumes.
 
 use std::fmt;
 use std::time::Duration;
 
 use halotis_core::Capacitance;
-use halotis_netlist::technology;
+use halotis_netlist::{technology, Library};
 use halotis_sim::{BatchRunner, CompiledCircuit, SimulationError};
 
 use crate::entry::CorpusEntry;
@@ -99,25 +100,65 @@ pub struct NetHotspot {
     pub energy_joules: f64,
 }
 
-/// Everything one corpus run produces: the statistics document plus the
-/// per-entry timing samples.
+/// Everything one corpus run produces: the statistics document, the
+/// per-entry timing samples and each entry's per-net energy.
 #[derive(Clone, Debug)]
 pub struct CorpusReport {
     /// The statistics document (golden-gate material).
     pub stats: CorpusStats,
     /// Per-entry timing, in corpus order (perf-capture material).
     pub timings: Vec<EntryTiming>,
-    /// Every net that switched at least once, most energetic first; ties
-    /// break on `(entry, net)` names so the ranking is fully deterministic.
-    /// Derived material — deliberately kept out of the golden-gated
-    /// [`CorpusStats`] document.
-    pub hotspots: Vec<NetHotspot>,
+    /// Per entry in corpus order, per net in net order: the net's switched
+    /// capacitance, and its transitions and joules summed over the entry's
+    /// scenarios in scenario order.
+    net_energy: Vec<Vec<(Capacitance, usize, f64)>>,
 }
 
 impl CorpusReport {
-    /// The `count` most energetic nets of the whole corpus run.
-    pub fn top_hotspots(&self, count: usize) -> &[NetHotspot] {
-        &self.hotspots[..count.min(self.hotspots.len())]
+    /// Every net of the run that switched at least once, most energetic
+    /// first; ties break on `(entry, net)` names so the ranking is fully
+    /// deterministic.  Derived material — deliberately kept out of the
+    /// golden-gated [`CorpusStats`] document.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corpus` is not the corpus this report was run on: its
+    /// entry count or an entry's net count differs.
+    pub fn hotspots(&self, corpus: &[CorpusEntry]) -> Vec<NetHotspot> {
+        assert_eq!(
+            corpus.len(),
+            self.net_energy.len(),
+            "not this report's corpus"
+        );
+        let mut hotspots = Vec::new();
+        for (entry, nets) in corpus.iter().zip(&self.net_energy) {
+            assert_eq!(
+                entry.netlist.net_count(),
+                nets.len(),
+                "entry {}",
+                entry.name
+            );
+            for (net, &(capacitance, transitions, energy_joules)) in
+                entry.netlist.nets().iter().zip(nets)
+            {
+                if transitions > 0 {
+                    hotspots.push(NetHotspot {
+                        entry: entry.name.clone(),
+                        net: net.name().to_string(),
+                        capacitance,
+                        transitions,
+                        energy_joules,
+                    });
+                }
+            }
+        }
+        hotspots.sort_by(|a, b| {
+            b.energy_joules
+                .total_cmp(&a.energy_joules)
+                .then_with(|| a.entry.cmp(&b.entry))
+                .then_with(|| a.net.cmp(&b.net))
+        });
+        hotspots
     }
 }
 
@@ -127,11 +168,13 @@ impl CorpusReport {
 /// builds, and with it the batch workers' arenas: they survive from entry to
 /// entry, from repeat to repeat and from one [`run`](Self::run) to the next,
 /// each keeping the largest capacity a worker has needed until the runner is
-/// dropped.
+/// dropped.  It also owns the `cmos06` library every entry compiles against,
+/// built once in [`new`](Self::new).
 #[derive(Debug)]
 pub struct CorpusRunner {
     batch: BatchRunner,
     repeats: usize,
+    library: Library,
 }
 
 impl CorpusRunner {
@@ -140,6 +183,7 @@ impl CorpusRunner {
         CorpusRunner {
             batch: BatchRunner::new(),
             repeats: 1,
+            library: technology::cmos06(),
         }
     }
 
@@ -170,20 +214,20 @@ impl CorpusRunner {
     /// Runs every entry, producing the statistics document and timing
     /// samples.  The first scenario failure aborts the run.
     pub fn run(&self, corpus: &[CorpusEntry]) -> Result<CorpusReport, CorpusError> {
-        let library = technology::cmos06();
         let mut stats = CorpusStats::default();
         let mut timings = Vec::with_capacity(corpus.len());
-        let mut hotspots = Vec::new();
+        let mut net_energy = Vec::with_capacity(corpus.len());
 
         for entry in corpus {
-            let circuit = CompiledCircuit::compile(&entry.netlist, &library).map_err(|source| {
-                CorpusError {
-                    entry: entry.name.clone(),
-                    scenario: None,
-                    source,
-                }
-            })?;
-            let scenarios = entry.streamed_scenarios(&library);
+            let circuit =
+                CompiledCircuit::compile(&entry.netlist, &self.library).map_err(|source| {
+                    CorpusError {
+                        entry: entry.name.clone(),
+                        scenario: None,
+                        source,
+                    }
+                })?;
+            let scenarios = entry.streamed_scenarios(&self.library);
 
             let mut samples = Vec::with_capacity(self.repeats());
             let mut last_report = None;
@@ -196,11 +240,15 @@ impl CorpusRunner {
             }
             let report = last_report.expect("at least one repeat ran");
 
-            // Per-net (transitions, joules), indexed by net and summed
-            // across the entry's scenarios in scenario order — the float
-            // additions happen in one fixed order, so the totals are
+            // Per-net (capacitance, transitions, joules), indexed by net and
+            // summed across the entry's scenarios in scenario order — the
+            // float additions happen in one fixed order, so the totals are
             // bit-reproducible regardless of worker-thread count.
-            let mut net_energy = vec![(0usize, 0.0f64); entry.netlist.net_count()];
+            let mut nets: Vec<(Capacitance, usize, f64)> = circuit
+                .net_loads()
+                .iter()
+                .map(|&capacitance| (capacitance, 0, 0.0))
+                .collect();
             let mut records = Vec::with_capacity(scenarios.len());
             for (scenario, outcome) in scenarios.iter().zip(report.outcomes()) {
                 let run_stats = outcome.stats.as_ref().map_err(|source| CorpusError {
@@ -209,9 +257,9 @@ impl CorpusRunner {
                     source: source.clone(),
                 })?;
                 let ((power, glitches), clock) = &outcome.observer;
-                for (sum, (transitions, joules)) in net_energy.iter_mut().zip(power.per_net()) {
-                    sum.0 += transitions;
-                    sum.1 += joules;
+                for (sum, (transitions, joules)) in nets.iter_mut().zip(power.per_net()) {
+                    sum.1 += transitions;
+                    sum.2 += joules;
                 }
                 records.push(ScenarioRecord {
                     label: outcome.label.clone(),
@@ -240,29 +288,12 @@ impl CorpusRunner {
                 name: entry.name.clone(),
                 samples,
             });
-            let nets = entry.netlist.nets().iter().zip(circuit.net_loads());
-            for ((net, &capacitance), (transitions, energy_joules)) in nets.zip(net_energy) {
-                if transitions > 0 {
-                    hotspots.push(NetHotspot {
-                        entry: entry.name.clone(),
-                        net: net.name().to_string(),
-                        capacitance,
-                        transitions,
-                        energy_joules,
-                    });
-                }
-            }
+            net_energy.push(nets);
         }
-        hotspots.sort_by(|a: &NetHotspot, b: &NetHotspot| {
-            b.energy_joules
-                .total_cmp(&a.energy_joules)
-                .then_with(|| a.entry.cmp(&b.entry))
-                .then_with(|| a.net.cmp(&b.net))
-        });
         Ok(CorpusReport {
             stats,
             timings,
-            hotspots,
+            net_energy,
         })
     }
 }
@@ -360,9 +391,10 @@ mod tests {
     fn hotspot_ranking_is_sorted_deterministic_and_complete() {
         let corpus = small_corpus();
         let report = CorpusRunner::new().with_threads(1).run(&corpus).unwrap();
-        assert!(!report.hotspots.is_empty());
+        let hotspots = report.hotspots(&corpus);
+        assert!(!hotspots.is_empty());
         // Most-energetic first, names breaking exact ties.
-        for pair in report.hotspots.windows(2) {
+        for pair in hotspots.windows(2) {
             assert!(pair[0].energy_joules >= pair[1].energy_joules);
             if pair[0].energy_joules == pair[1].energy_joules {
                 assert!((&pair[0].entry, &pair[0].net) < (&pair[1].entry, &pair[1].net));
@@ -371,7 +403,7 @@ mod tests {
         // Every ranked net switched, and the ranking conserves energy: the
         // summed hotspot energy matches the summed scenario energy (same
         // numbers, different addition order — hence the relative epsilon).
-        let ranked: f64 = report.hotspots.iter().map(|h| h.energy_joules).sum();
+        let ranked: f64 = hotspots.iter().map(|h| h.energy_joules).sum();
         let scenario_total: f64 = report
             .stats
             .entries
@@ -379,15 +411,12 @@ mod tests {
             .flat_map(|entry| &entry.scenarios)
             .map(|scenario| scenario.energy_joules)
             .sum();
-        assert!(report.hotspots.iter().all(|h| h.transitions > 0));
+        assert!(hotspots.iter().all(|h| h.transitions > 0));
         assert!((ranked - scenario_total).abs() <= scenario_total * 1e-12);
         // The ranking is part of the determinism contract: a four-worker
         // run produces the identical vector, floats included.
         let four = CorpusRunner::new().with_threads(4).run(&corpus).unwrap();
-        assert_eq!(report.hotspots, four.hotspots);
-        // top_hotspots clamps like PowerReport::hotspots does.
-        assert_eq!(report.top_hotspots(3).len(), 3);
-        assert_eq!(report.top_hotspots(usize::MAX).len(), report.hotspots.len());
+        assert_eq!(hotspots, four.hotspots(&corpus));
     }
 
     #[test]
@@ -397,11 +426,22 @@ mod tests {
         // additions happen in the same order, so the energies agree to the
         // bit.
         let corpus = standard_corpus();
-        let report = CorpusRunner::new().run(&corpus).unwrap();
+        let ranking = CorpusRunner::new().run(&corpus).unwrap().hotspots(&corpus);
         let library = technology::cmos06();
         let mut expected = Vec::new();
         for entry in &corpus {
             let circuit = CompiledCircuit::compile(&entry.netlist, &library).unwrap();
+            // The ranking reports the compiled load of each net, to the bit.
+            for hotspot in ranking.iter().filter(|h| h.entry == entry.name) {
+                let net = entry.netlist.net_id(&hotspot.net).unwrap();
+                assert_eq!(
+                    hotspot.capacitance.as_farads().to_bits(),
+                    circuit.net_loads()[net.index()].as_farads().to_bits(),
+                    "{}/{}",
+                    entry.name,
+                    hotspot.net
+                );
+            }
             let scenarios = entry.streamed_scenarios(&library);
             let batch = BatchRunner::new().run_observed(&circuit, &scenarios, |_, _| {
                 halotis_sim::PowerAccumulator::new()
@@ -433,8 +473,8 @@ mod tests {
                 .then_with(|| a.entry.cmp(&b.entry))
                 .then_with(|| a.net.cmp(&b.net))
         });
-        assert_eq!(report.hotspots.len(), expected.len());
-        for (got, want) in report.hotspots.iter().zip(&expected) {
+        assert_eq!(ranking.len(), expected.len());
+        for (got, want) in ranking.iter().zip(&expected) {
             assert_eq!(
                 (&got.entry, &got.net, got.capacitance, got.transitions),
                 (&want.entry, &want.net, want.capacitance, want.transitions)

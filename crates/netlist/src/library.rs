@@ -11,7 +11,6 @@
 //! fanout input*, because each input observes the ramp at its own `VT`
 //! (paper Fig. 3).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use halotis_core::{Capacitance, TimeDelta, Voltage};
@@ -108,6 +107,10 @@ impl std::error::Error for LibraryError {}
 
 /// A characterised cell library plus its operating conditions.
 ///
+/// The cells sit in a dense table with one slot per [`CellKind`], indexed
+/// by the kind's discriminant (the tag [`CellKind::class`] stamps), so a
+/// lookup is an array read.
+///
 /// # Example
 ///
 /// ```
@@ -124,7 +127,7 @@ pub struct Library {
     vdd: Voltage,
     default_input_slew: TimeDelta,
     wire_capacitance: Capacitance,
-    cells: HashMap<CellKind, CellTiming>,
+    cells: [Option<CellTiming>; CellKind::ALL.len()],
 }
 
 impl Library {
@@ -135,7 +138,7 @@ impl Library {
             vdd,
             default_input_slew: TimeDelta::from_ps(200.0),
             wire_capacitance: Capacitance::ZERO,
-            cells: HashMap::new(),
+            cells: [const { None }; CellKind::ALL.len()],
         }
     }
 
@@ -184,12 +187,12 @@ impl Library {
             kind.input_count(),
             timing.pin_count()
         );
-        self.cells.insert(kind, timing);
+        self.cells[kind as usize] = Some(timing);
     }
 
     /// `true` when the library characterises `kind`.
     pub fn contains(&self, kind: CellKind) -> bool {
-        self.cells.contains_key(&kind)
+        self.cells[kind as usize].is_some()
     }
 
     /// The characterisation of `kind`.
@@ -198,8 +201,8 @@ impl Library {
     ///
     /// Returns [`LibraryError::MissingCell`] when the cell is not present.
     pub fn cell(&self, kind: CellKind) -> Result<&CellTiming, LibraryError> {
-        self.cells
-            .get(&kind)
+        self.cells[kind as usize]
+            .as_ref()
             .ok_or(LibraryError::MissingCell { kind })
     }
 
@@ -216,9 +219,11 @@ impl Library {
         Ok(cell.pin(pin))
     }
 
-    /// Cell kinds characterised by this library, in no particular order.
+    /// Cell kinds characterised by this library, in [`CellKind::ALL`] order.
     pub fn kinds(&self) -> impl Iterator<Item = CellKind> + '_ {
-        self.cells.keys().copied()
+        CellKind::ALL
+            .into_iter()
+            .filter(|&kind| self.contains(kind))
     }
 }
 
@@ -278,6 +283,22 @@ mod tests {
             }
         );
         assert_eq!(lib.kinds().count(), 1);
+    }
+
+    #[test]
+    fn kinds_follow_the_dense_table_order() {
+        // The table's slot of a kind is its discriminant, which must be its
+        // position in `CellKind::ALL`.
+        for kind in CellKind::ALL {
+            assert_eq!(CellKind::ALL[kind as usize], kind);
+        }
+        let kinds: Vec<CellKind> = crate::technology::cmos06().kinds().collect();
+        assert_eq!(kinds, CellKind::ALL);
+        let mut lib = Library::new("test", Voltage::from_volts(5.0));
+        lib.insert(CellKind::Xor2, CellTiming::uniform(2, spec(0.5)));
+        lib.insert(CellKind::Inv, CellTiming::uniform(1, spec(0.5)));
+        let kinds: Vec<CellKind> = lib.kinds().collect();
+        assert_eq!(kinds, [CellKind::Inv, CellKind::Xor2]);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   variant of `scripts/corpus_diff.py`),
 //! * `--power-report N` — print the `N` most energetic nets of the whole
 //!   corpus run (energy summed per net across every scenario; ordering is
-//!   deterministic, ties break on entry and net names),
+//!   deterministic, ties break on entry and net names; the nets are named
+//!   and ranked only under this flag),
 //! * `--export DIR` — write every corpus circuit to `DIR` in the chosen
 //!   interchange format (`<entry>.net` or `<entry>.v`), run nothing else,
 //! * `--import PATH` — parse one netlist file, compile it against the
@@ -290,7 +291,7 @@ fn main() -> ExitCode {
         println!("{} corpus entries:", corpus.len());
         let mut total = 0usize;
         for entry in &corpus {
-            let scenarios = entry.scenarios(&library).len();
+            let scenarios = entry.streamed_scenarios(&library).len();
             total += scenarios;
             println!(
                 "  {:<14} {:<28} suite {:<9} {:>3} scenarios ({} gates, {} nets)",
@@ -321,12 +322,13 @@ fn main() -> ExitCode {
     // The hotspot table goes to stdout only — it is derived, rank-ordered
     // material and must never land in the golden-gated statistics document.
     if let Some(count) = options.power_report {
-        let top = report.top_hotspots(count);
-        let corpus_total: f64 = report.hotspots.iter().map(|h| h.energy_joules).sum();
+        let hotspots = report.hotspots(&corpus);
+        let top = &hotspots[..count.min(hotspots.len())];
+        let corpus_total: f64 = hotspots.iter().map(|h| h.energy_joules).sum();
         println!(
             "top {} energy hotspots ({} switching nets corpus-wide):",
             top.len(),
-            report.hotspots.len()
+            hotspots.len()
         );
         println!("  rank  entry           net                   cap_fF  transitions      energy_J  share");
         for (rank, hotspot) in top.iter().enumerate() {
